@@ -47,16 +47,20 @@ class BumpArena {
       ++block_;
       offset_ = 0;
     }
-    // Chain a fresh block sized for the request.
-    const std::size_t size = bytes > block_bytes_ ? bytes : block_bytes_;
+    // Chain a fresh block sized for the request.  Blocks are only
+    // max_align_t-aligned, so an over-aligned request also reserves room
+    // for its padding.
+    const std::size_t padded =
+        bytes + (align > alignof(std::max_align_t) ? align - 1 : 0);
+    const std::size_t size = padded > block_bytes_ ? padded : block_bytes_;
     Block b;
     b.data.reset(static_cast<char*>(
         ::operator new(size, std::align_val_t(alignof(std::max_align_t)))));
     b.size = size;
     blocks_.push_back(std::move(b));
     block_ = blocks_.size() - 1;
-    offset_ = bytes;  // fresh block is max-aligned, so no padding needed
-    return blocks_.back().data.get();
+    offset_ = 0;
+    return allocate(bytes, align);  // fits the fresh block by construction
   }
 
   // Typed convenience: uninitialized storage for `n` objects of T.

@@ -48,6 +48,30 @@ void export_profile(const obs::Profiler& profiler,
   }
 }
 
+// The scenario every runner builds from the experiment's parameters.  The
+// baseline world reads only the networks, counts, server and cost fields.
+ScenarioConfig scenario_config(const ExperimentParams& params) {
+  ScenarioConfig config;
+  config.seed = params.seed;
+  config.num_mss = params.num_mss();
+  config.num_mh = params.num_mh;
+  config.num_servers = params.num_servers;
+  config.causal_order = params.causal_order;
+  config.replication = params.replication;
+  config.proxy_checkpointing = params.proxy_checkpointing;
+  config.wired = params.wired;
+  config.wireless = params.wireless;
+  config.rdp = params.rdp;
+  config.server.base_service_time = params.service_time;
+  config.server.service_jitter = params.service_jitter;
+  config.telemetry.trace = !params.trace_out.empty();
+  config.telemetry.metrics_period = params.metrics_period;
+  config.cost.enabled = true;
+  config.cost.energy = params.energy;
+  config.analyzer.enabled = params.analyzer;
+  return config;
+}
+
 std::unique_ptr<workload::MobilityModel> make_mobility(
     const ExperimentParams& params, const workload::CellTopology& topology) {
   switch (params.mobility) {
@@ -90,9 +114,35 @@ std::unique_ptr<workload::LossShaper> make_loss_shaper(
       common::Rng(params.seed ^ 0x5bf0a8b1451b54e9ull), params.loss);
 }
 
-// Everything shared between the RDP and baseline runs.  Wire accounting
-// comes from the world's cost ledger (the single accounting path for all
-// byte numbers), not from a bench-local tally.
+template <typename World>
+std::vector<common::NodeAddress> server_addresses(
+    World& world, const ExperimentParams& params) {
+  std::vector<common::NodeAddress> servers;
+  for (int i = 0; i < params.num_servers; ++i) {
+    servers.push_back(world.server_address(i));
+  }
+  return servers;
+}
+
+// The measured run: the started drivers issue load for sim_time, then the
+// world drains with them stopped; their mobility tallies go to `result`.
+template <typename World, typename Driver>
+void run_drivers(World& world,
+                 const std::vector<std::unique_ptr<Driver>>& drivers,
+                 const ExperimentParams& params, ExperimentResult& result) {
+  world.run_for(params.sim_time);
+  for (auto& driver : drivers) driver->stop();
+  world.run_for(params.drain_time);
+
+  for (auto& driver : drivers) {
+    result.migrations += driver->migrations();
+    result.reactivations += driver->reactivations();
+  }
+}
+
+// Everything shared between the single-kernel RDP and baseline runs.  Wire
+// accounting comes from the world's cost ledger (the single accounting path
+// for all byte numbers), not from a bench-local tally.
 template <typename World, typename Host>
 void drive(World& world, const ExperimentParams& params,
            MetricsCollector& metrics, ExperimentResult& result) {
@@ -102,11 +152,8 @@ void drive(World& world, const ExperimentParams& params,
       workload::CellTopology::grid(params.grid_width, params.grid_height);
   auto mobility = make_mobility(params, topology);
   const workload::WorkloadParams wl = make_workload(params);
-
-  std::vector<common::NodeAddress> servers;
-  for (int i = 0; i < params.num_servers; ++i) {
-    servers.push_back(world.server_address(i));
-  }
+  const std::vector<common::NodeAddress> servers =
+      server_addresses(world, params);
 
   std::vector<std::unique_ptr<workload::HostDriver<Host>>> drivers;
   drivers.reserve(params.num_mh);
@@ -116,14 +163,7 @@ void drive(World& world, const ExperimentParams& params,
         servers));
     drivers.back()->start();
   }
-  world.run_for(params.sim_time);
-  for (auto& driver : drivers) driver->stop();
-  world.run_for(params.drain_time);
-
-  for (auto& driver : drivers) {
-    result.migrations += driver->migrations();
-    result.reactivations += driver->reactivations();
-  }
+  run_drivers(world, drivers, params, result);
 }
 
 void collect_common(const MetricsCollector& metrics,
@@ -157,35 +197,68 @@ void collect_common(const MetricsCollector& metrics,
             "cost ledger disagrees with the wired network's byte counter");
   result.wired_by_type = ledger.wired_message_counts();
   result.cost = ledger.summary();
-  result.counters = counters.all();
+  result.counters = {counters.all().begin(), counters.all().end()};
   result.stale_acks = counters.get("mss.stale_ack_dropped");
   result.requests_dropped_preproxy =
       counters.get("mss.stale_request_dropped");
 }
 
+// Post-run collection shared by the two RDP runners: the auditor's and
+// the analyzer's verdicts (and the analyzer JSONL), the profile export,
+// the trace and metrics files, and proxy placement fairness.  `now` is the
+// world's clock at the end of the run.
+template <typename World>
+void collect_rdp(World& world, const ExperimentParams& params,
+                 const MetricsCollector& metrics,
+                 const obs::Profiler* profiler, common::SimTime now,
+                 ExperimentResult& result) {
+  if (const obs::InvariantAuditor* auditor = world.telemetry().auditor()) {
+    result.invariant_violations = auditor->violations().size();
+  }
+  if (analyzer::Analyzer* wire_analyzer = world.wire_analyzer()) {
+    // Finalize before the metrics export below so the rdp.analyzer.*
+    // series carries the resolved (post-parking) totals.
+    wire_analyzer->finalize();
+    result.analyzer_violations = wire_analyzer->violations().size();
+    result.analyzer_events = wire_analyzer->events_total();
+    result.analyzer_decode_errors = wire_analyzer->decode_errors();
+    if (!params.analyzer_out.empty() &&
+        !wire_analyzer->write_jsonl(params.analyzer_out)) {
+      std::cerr << "experiment: failed to write analyzer events to "
+                << params.analyzer_out << "\n";
+    }
+  }
+  if (profiler != nullptr) export_profile(*profiler, params, world.telemetry());
+  if (!params.trace_out.empty() &&
+      !world.telemetry().write_trace_json(params.trace_out)) {
+    std::cerr << "experiment: failed to write trace to " << params.trace_out
+              << "\n";
+  }
+  if (!params.metrics_out.empty()) {
+    // Close the series with one final sample so a zero-period run still
+    // exports the end-state values.
+    world.telemetry().registry().sample_now(now);
+    if (!world.telemetry().write_metrics_csv(params.metrics_out)) {
+      std::cerr << "experiment: failed to write metrics to "
+                << params.metrics_out << "\n";
+    }
+  }
+
+  // Proxy placement across Mss's (E5): include zero entries for Mss's that
+  // never hosted a proxy, otherwise the fairness index flatters skew.
+  std::vector<double> placement;
+  for (int i = 0; i < world.num_mss(); ++i) {
+    placement.push_back(static_cast<double>(
+        metrics.proxy_host_tally.get(world.mss(i).address())));
+  }
+  result.placement_jain = stats::jain_fairness(placement);
+  result.placement_max_to_mean = stats::max_to_mean(placement);
+}
+
 }  // namespace
 
 ExperimentResult run_rdp_experiment(const ExperimentParams& params) {
-  ScenarioConfig config;
-  config.seed = params.seed;
-  config.num_mss = params.num_mss();
-  config.num_mh = params.num_mh;
-  config.num_servers = params.num_servers;
-  config.causal_order = params.causal_order;
-  config.replication = params.replication;
-  config.proxy_checkpointing = params.proxy_checkpointing;
-  config.wired = params.wired;
-  config.wireless = params.wireless;
-  config.rdp = params.rdp;
-  config.server.base_service_time = params.service_time;
-  config.server.service_jitter = params.service_jitter;
-  config.telemetry.trace = !params.trace_out.empty();
-  config.telemetry.metrics_period = params.metrics_period;
-  config.cost.enabled = true;
-  config.cost.energy = params.energy;
-  config.analyzer.enabled = params.analyzer;
-
-  World world(config);
+  World world(scenario_config(params));
   // Destroyed before `world`; nothing runs the kernel after that, so the
   // accumulator pointer left on the simulator never dangles into a run.
   std::unique_ptr<obs::Profiler> profiler;
@@ -212,47 +285,8 @@ ExperimentResult run_rdp_experiment(const ExperimentParams& params) {
   if (world.causal() != nullptr) {
     result.causal_delayed = world.causal()->delayed_total();
   }
-  if (const obs::InvariantAuditor* auditor = world.telemetry().auditor()) {
-    result.invariant_violations = auditor->violations().size();
-  }
-  if (analyzer::Analyzer* wire_analyzer = world.wire_analyzer()) {
-    // Finalize before the metrics export below so the rdp.analyzer.*
-    // series carries the resolved (post-parking) totals.
-    wire_analyzer->finalize();
-    result.analyzer_violations = wire_analyzer->violations().size();
-    result.analyzer_events = wire_analyzer->events_total();
-    result.analyzer_decode_errors = wire_analyzer->decode_errors();
-    if (!params.analyzer_out.empty() &&
-        !wire_analyzer->write_jsonl(params.analyzer_out)) {
-      std::cerr << "experiment: failed to write analyzer events to "
-                << params.analyzer_out << "\n";
-    }
-  }
-  if (profiler) export_profile(*profiler, params, world.telemetry());
-  if (!params.trace_out.empty() &&
-      !world.telemetry().write_trace_json(params.trace_out)) {
-    std::cerr << "experiment: failed to write trace to " << params.trace_out
-              << "\n";
-  }
-  if (!params.metrics_out.empty()) {
-    // Close the series with one final sample so a zero-period run still
-    // exports the end-state values.
-    world.telemetry().registry().sample_now(world.simulator().now());
-    if (!world.telemetry().write_metrics_csv(params.metrics_out)) {
-      std::cerr << "experiment: failed to write metrics to "
-                << params.metrics_out << "\n";
-    }
-  }
-
-  // Proxy placement across Mss's (E5): include zero entries for Mss's that
-  // never hosted a proxy, otherwise the fairness index flatters skew.
-  std::vector<double> placement;
-  for (int i = 0; i < world.num_mss(); ++i) {
-    placement.push_back(static_cast<double>(
-        metrics.proxy_host_tally.get(world.mss(i).address())));
-  }
-  result.placement_jain = stats::jain_fairness(placement);
-  result.placement_max_to_mean = stats::max_to_mean(placement);
+  collect_rdp(world, params, metrics, profiler.get(), world.simulator().now(),
+              result);
   return result;
 }
 
@@ -267,26 +301,11 @@ ExperimentResult run_sharded_rdp_experiment(const ExperimentParams& params) {
             "correlated loss profiles are a single-kernel feature");
 
   ShardedScenarioConfig config;
-  config.base.seed = params.seed;
-  config.base.num_mss = params.num_mss();
-  config.base.num_mh = params.num_mh;
-  config.base.num_servers = params.num_servers;
-  config.base.causal_order = params.causal_order;
-  config.base.wired = params.wired;
-  config.base.wireless = params.wireless;
-  config.base.rdp = params.rdp;
-  config.base.server.base_service_time = params.service_time;
-  config.base.server.service_jitter = params.service_jitter;
-  config.base.telemetry.trace = !params.trace_out.empty();
-  config.base.telemetry.metrics_period = params.metrics_period;
-  config.base.cost.enabled = true;
-  config.base.cost.energy = params.energy;
-  config.base.analyzer.enabled = params.analyzer;
+  config.base = scenario_config(params);
   config.shards = params.shards;
   config.threads = params.shard_threads;
-  // Mode is kOff (checked above); the churn machinery reads the timing
-  // knobs (departure_threshold) and chain length from the same config.
-  config.base.replication = params.replication;
+  // Replication mode is kOff (checked above); the churn machinery reads
+  // the timing knobs (departure_threshold) from config.base.replication.
   config.backup_k = params.backup_k;
   for (const ExperimentParams::ChurnEvent& event : params.membership_churn) {
     config.membership_churn.push_back({event.at, event.mss, event.up});
@@ -320,10 +339,8 @@ ExperimentResult run_sharded_rdp_experiment(const ExperimentParams& params) {
   ExperimentResult result;
 
   const workload::WorkloadParams wl = make_workload(params);
-  std::vector<common::NodeAddress> servers;
-  for (int i = 0; i < params.num_servers; ++i) {
-    servers.push_back(world.server_address(i));
-  }
+  const std::vector<common::NodeAddress> servers =
+      server_addresses(world, params);
 
   // Drivers live on their Mh's home shard; RNG forks are drawn in Mh order
   // so each driver's stream is independent of the shard layout.
@@ -344,75 +361,23 @@ ExperimentResult run_sharded_rdp_experiment(const ExperimentParams& params) {
   }
   {
     const ScopedControlAccumulator control(profiler.get());
-    world.run_for(params.sim_time);
-    for (auto& driver : drivers) driver->stop();
-    world.run_for(params.drain_time);
-  }
-
-  for (auto& driver : drivers) {
-    result.migrations += driver->migrations();
-    result.reactivations += driver->reactivations();
+    run_drivers(world, drivers, params, result);
   }
 
   collect_common(metrics, *world.cost_ledger(), world.wired_messages_total(),
                  world.wired_bytes_total(), world.merged_counters(), result);
   result.kernel_events = world.kernel().executed_events();
   result.causal_delayed = world.causal_delayed_total();
-  if (const obs::InvariantAuditor* auditor = world.telemetry().auditor()) {
-    result.invariant_violations = auditor->violations().size();
-  }
-  if (analyzer::Analyzer* wire_analyzer = world.wire_analyzer()) {
-    wire_analyzer->finalize();
-    result.analyzer_violations = wire_analyzer->violations().size();
-    result.analyzer_events = wire_analyzer->events_total();
-    result.analyzer_decode_errors = wire_analyzer->decode_errors();
-    if (!params.analyzer_out.empty() &&
-        !wire_analyzer->write_jsonl(params.analyzer_out)) {
-      std::cerr << "experiment: failed to write analyzer events to "
-                << params.analyzer_out << "\n";
-    }
-  }
-  if (profiler) {
-    profiler->ingest_shard_stats(world.kernel());
-    export_profile(*profiler, params, world.telemetry());
-  }
-  if (!params.trace_out.empty() &&
-      !world.telemetry().write_trace_json(params.trace_out)) {
-    std::cerr << "experiment: failed to write trace to " << params.trace_out
-              << "\n";
-  }
-  if (!params.metrics_out.empty()) {
-    world.telemetry().registry().sample_now(world.kernel().now());
-    if (!world.telemetry().write_metrics_csv(params.metrics_out)) {
-      std::cerr << "experiment: failed to write metrics to "
-                << params.metrics_out << "\n";
-    }
-  }
-
-  std::vector<double> placement;
-  for (int i = 0; i < world.num_mss(); ++i) {
-    placement.push_back(static_cast<double>(
-        metrics.proxy_host_tally.get(world.mss(i).address())));
-  }
-  result.placement_jain = stats::jain_fairness(placement);
-  result.placement_max_to_mean = stats::max_to_mean(placement);
+  if (profiler) profiler->ingest_shard_stats(world.kernel());
+  collect_rdp(world, params, metrics, profiler.get(), world.kernel().now(),
+              result);
   return result;
 }
 
 ExperimentResult run_baseline_experiment(const ExperimentParams& params,
                                          baseline::BaselineMode mode) {
   BaselineScenarioConfig config;
-  config.base.seed = params.seed;
-  config.base.num_mss = params.num_mss();
-  config.base.num_mh = params.num_mh;
-  config.base.num_servers = params.num_servers;
-  config.base.wired = params.wired;
-  config.base.wireless = params.wireless;
-  config.base.rdp = params.rdp;
-  config.base.server.base_service_time = params.service_time;
-  config.base.server.service_jitter = params.service_jitter;
-  config.base.cost.enabled = true;
-  config.base.cost.energy = params.energy;
+  config.base = scenario_config(params);
   config.baseline.mode = mode;
 
   BaselineWorld world(config);

@@ -1,8 +1,6 @@
 #include "harness/sharded_world.h"
 
 #include <algorithm>
-#include <iostream>
-#include <unordered_map>
 #include <utility>
 
 #include "workload/topology.h"
@@ -121,35 +119,14 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
     merger_.add_buffer(&shard.buffer);
   }
 
-  // Global consumers, fed by barrier-merged replay.  Allowances mirror
-  // World's ablation-derived rules (replication is structurally off here).
-  obs::TelemetryConfig telemetry_config = base.telemetry;
-  if (base.rdp.mh_reissue) {
-    telemetry_config.audit_rules.allow_proxy_coexistence = true;
-    telemetry_config.audit_rules.allow_result_reordering = true;
-    telemetry_config.audit_rules.allow_delproxy_with_pending = true;
-  }
-  if (!base.causal_order) {
-    telemetry_config.audit_rules.allow_result_reordering = true;
-  }
-  telemetry_ = std::make_unique<obs::Telemetry>(telemetry_config, &directory_);
+  // Global consumers, fed by barrier-merged replay.  Allowances follow
+  // the same ablation-derived rules as World's (replication is
+  // structurally off here).
+  telemetry_ = std::make_unique<obs::Telemetry>(
+      audited_telemetry_config(base), &directory_);
   telemetry_->attach(observers_);
   merger_.set_hook_sink(&observers_);
-
-  // Per-type wire message counters (same series World exports).
-  merger_.add_wired_sink(
-      [registry = &telemetry_->registry(),
-       cache = std::unordered_map<const char*,
-                                  obs::MetricsRegistry::Counter*>{}](
-          const net::Envelope& envelope) mutable {
-        const char* name = envelope.payload->name();
-        auto [it, inserted] = cache.try_emplace(name, nullptr);
-        if (inserted) {
-          it->second =
-              &registry->counter("net.wired.messages", {{"type", name}});
-        }
-        it->second->increment();
-      });
+  merger_.add_wired_sink(wired_message_counter(telemetry_->registry()));
 
   if (base.cost.enabled) {
     cost_ledger_ =
@@ -277,17 +254,7 @@ ShardedWorld::ShardedWorld(ShardedScenarioConfig config)
 }
 
 ShardedWorld::~ShardedWorld() {
-  obs::InvariantAuditor* auditor = telemetry_ ? telemetry_->auditor() : nullptr;
-  if (auditor != nullptr && !auditor->clean()) {
-    std::cerr << "[rdp-audit] WARNING: sharded world tore down with "
-                 "invariant violations:\n";
-    auditor->write_report(std::cerr);
-  }
-  if (analyzer_ != nullptr && !analyzer_->clean()) {
-    std::cerr << "[rdp-analyzer] WARNING: sharded world tore down with "
-                 "conformance violations:\n";
-    analyzer_->write_report(std::cerr);
-  }
+  warn_unclean_teardown("sharded world", telemetry_.get(), analyzer_.get());
 }
 
 int ShardedWorld::shard_of_cell(common::CellId cell) const {

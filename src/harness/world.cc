@@ -5,6 +5,68 @@
 
 namespace rdp::harness {
 
+obs::TelemetryConfig audited_telemetry_config(const ScenarioConfig& config) {
+  // The auditor's allowances follow the scenario's ablations: disabling
+  // causal order permits result reordering at the proxy, and the Mh
+  // re-issue extension can legitimately give an Mh a second proxy (and
+  // replay old result sequence numbers) after a crash.
+  obs::TelemetryConfig telemetry = config.telemetry;
+  if (config.rdp.mh_reissue) {
+    telemetry.audit_rules.allow_proxy_coexistence = true;
+    telemetry.audit_rules.allow_result_reordering = true;
+    // Deleting a proxy with requests pending is not a silent drop when the
+    // Mh watchdog owns re-driving them: a re-issued request coexists with
+    // the stale incarnation it abandoned, and the del-proxy handshake (or
+    // an adopted-proxy reclaim) legitimately tears the latter down.
+    // Without the watchdog R4 stays armed and the deletion site reports
+    // the losses itself.
+    telemetry.audit_rules.allow_delproxy_with_pending = true;
+  }
+  if (!config.causal_order) {
+    telemetry.audit_rules.allow_result_reordering = true;
+  }
+  if (config.replication.mode != replication::Mode::kOff) {
+    // During the promotion window a backup's adopted proxy coexists with
+    // the (dead) primary's bookkeeping, and re-driven server queries can
+    // replay result sequence numbers.
+    telemetry.audit_rules.allow_proxy_coexistence = true;
+    telemetry.audit_rules.allow_result_reordering = true;
+  }
+  return telemetry;
+}
+
+std::function<void(const net::Envelope&)> wired_message_counter(
+    obs::MetricsRegistry& registry) {
+  // Payload names are static strings, so the name pointer keys the cache.
+  return [registry = &registry,
+          cache = std::unordered_map<const char*,
+                                     obs::MetricsRegistry::Counter*>{}](
+             const net::Envelope& envelope) mutable {
+    const char* name = envelope.payload->name();
+    auto [it, inserted] = cache.try_emplace(name, nullptr);
+    if (inserted) {
+      it->second = &registry->counter("net.wired.messages", {{"type", name}});
+    }
+    it->second->increment();
+  };
+}
+
+void warn_unclean_teardown(const char* what, obs::Telemetry* telemetry,
+                           const analyzer::Analyzer* analyzer) {
+  obs::InvariantAuditor* auditor =
+      telemetry != nullptr ? telemetry->auditor() : nullptr;
+  if (auditor != nullptr && !auditor->clean()) {
+    std::cerr << "[rdp-audit] WARNING: " << what
+              << " tore down with invariant violations:\n";
+    auditor->write_report(std::cerr);
+  }
+  if (analyzer != nullptr && !analyzer->clean()) {
+    std::cerr << "[rdp-analyzer] WARNING: " << what
+              << " tore down with conformance violations:\n";
+    analyzer->write_report(std::cerr);
+  }
+}
+
 World::World(ScenarioConfig config)
     : config_(config),
       rng_(config.seed),
@@ -16,49 +78,10 @@ World::World(ScenarioConfig config)
                          : static_cast<net::WiredTransport&>(wired_)),
       wireless_(simulator_, common::Rng(config.seed ^ 0x51c64e6dULL),
                 config.wireless) {
-  // The auditor's allowances follow the scenario's ablations: disabling
-  // causal order permits result reordering at the proxy, and the Mh
-  // re-issue extension can legitimately give an Mh a second proxy (and
-  // replay old result sequence numbers) after a crash.
-  obs::TelemetryConfig telemetry_config = config_.telemetry;
-  if (config_.rdp.mh_reissue) {
-    telemetry_config.audit_rules.allow_proxy_coexistence = true;
-    telemetry_config.audit_rules.allow_result_reordering = true;
-    // Deleting a proxy with requests pending is not a silent drop when the
-    // Mh watchdog owns re-driving them: a re-issued request coexists with
-    // the stale incarnation it abandoned, and the del-proxy handshake (or
-    // an adopted-proxy reclaim) legitimately tears the latter down.
-    // Without the watchdog R4 stays armed and the deletion site reports
-    // the losses itself.
-    telemetry_config.audit_rules.allow_delproxy_with_pending = true;
-  }
-  if (!config_.causal_order) {
-    telemetry_config.audit_rules.allow_result_reordering = true;
-  }
-  if (config_.replication.mode != replication::Mode::kOff) {
-    // During the promotion window a backup's adopted proxy coexists with
-    // the (dead) primary's bookkeeping, and re-driven server queries can
-    // replay result sequence numbers.
-    telemetry_config.audit_rules.allow_proxy_coexistence = true;
-    telemetry_config.audit_rules.allow_result_reordering = true;
-  }
-  telemetry_ = std::make_unique<obs::Telemetry>(telemetry_config, &directory_);
+  telemetry_ = std::make_unique<obs::Telemetry>(
+      audited_telemetry_config(config_), &directory_);
   telemetry_->attach(observers_);
-
-  // Per-type wire message counters, labeled by the payload's stable name.
-  wired_.add_send_observer(
-      [registry = &telemetry_->registry(),
-       cache = std::unordered_map<const char*,
-                                  obs::MetricsRegistry::Counter*>{}](
-          const net::Envelope& envelope) mutable {
-        const char* name = envelope.payload->name();
-        auto [it, inserted] = cache.try_emplace(name, nullptr);
-        if (inserted) {
-          it->second =
-              &registry->counter("net.wired.messages", {{"type", name}});
-        }
-        it->second->increment();
-      });
+  wired_.add_send_observer(wired_message_counter(telemetry_->registry()));
 
   if (config_.cost.enabled) {
     cost_ledger_ = std::make_unique<obs::CostLedger>(config_.cost,
@@ -139,19 +162,7 @@ World::World(ScenarioConfig config)
 }
 
 World::~World() {
-  // Surface violations even when nobody polls the auditor; fatal mode has
-  // already aborted at the violation site.
-  obs::InvariantAuditor* auditor = telemetry_ ? telemetry_->auditor() : nullptr;
-  if (auditor != nullptr && !auditor->clean()) {
-    std::cerr << "[rdp-audit] WARNING: world tore down with invariant "
-                 "violations:\n";
-    auditor->write_report(std::cerr);
-  }
-  if (analyzer_ != nullptr && !analyzer_->clean()) {
-    std::cerr << "[rdp-analyzer] WARNING: world tore down with conformance "
-                 "violations:\n";
-    analyzer_->write_report(std::cerr);
-  }
+  warn_unclean_teardown("world", telemetry_.get(), analyzer_.get());
 }
 
 core::Mss* World::mss_at(common::NodeAddress address) {

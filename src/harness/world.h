@@ -7,6 +7,7 @@
 // benchmarks build a World, drive the mobile hosts, and read the metrics.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -68,6 +69,25 @@ struct ScenarioConfig {
   core::RdpConfig rdp;
   core::Server::Config server;
 };
+
+// Helpers shared by World and ShardedWorld.
+
+// The scenario's telemetry config with the auditor's rule allowances
+// widened to match its ablations (causal order off, Mh re-issue,
+// replication).
+[[nodiscard]] obs::TelemetryConfig audited_telemetry_config(
+    const ScenarioConfig& config);
+
+// A wired-send observer counting every message into the registry's
+// "net.wired.messages"{type=<payload name>} series.
+[[nodiscard]] std::function<void(const net::Envelope&)> wired_message_counter(
+    obs::MetricsRegistry& registry);
+
+// Surfaces the auditor's and the analyzer's violations on stderr when a
+// world tears down unclean, even when nobody polled them (fatal mode has
+// already aborted at the violation site).  `what` names the world.
+void warn_unclean_teardown(const char* what, obs::Telemetry* telemetry,
+                           const analyzer::Analyzer* analyzer);
 
 class World {
  public:

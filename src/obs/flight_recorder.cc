@@ -6,188 +6,150 @@
 
 namespace rdp::obs {
 
+std::string format(const core::EventRecord& r) {
+  using core::Hook;
+  using std::to_string;
+  const std::string req = r.request.str();
+  switch (r.kind) {
+    case Hook::kProxyCreated:
+      return "proxy_created " + r.proxy.str() + " for " + r.mh.str() +
+             " at " + r.node.str();
+    case Hook::kProxyDeleted:
+      return "proxy_deleted " + r.proxy.str() + " for " + r.mh.str() +
+             " at " + r.node.str() + (r.flag ? " [gc]" : "");
+    case Hook::kRequestIssued:
+      return "request_issued " + req + " by " + r.mh.str() + " to " +
+             r.node.str();
+    case Hook::kRequestReachedProxy:
+      return "request_reached_proxy " + req + " at " + r.node.str();
+    case Hook::kResultAtProxy:
+      return "result_at_proxy " + req + " seq=" + to_string(r.seq);
+    case Hook::kResultForwarded:
+      return "result_forwarded " + req + " seq=" + to_string(r.seq) +
+             " attempt=" + to_string(r.attempt) + " to=" + r.node.str() +
+             (r.flag ? " [del-pref]" : "");
+    case Hook::kResultDelivered:
+      return "result_delivered " + req + " seq=" + to_string(r.seq) +
+             " at " + r.mh.str() + " attempt=" + to_string(r.attempt) +
+             (r.flag ? " [final]" : "") + (r.flag2 ? " [dup]" : "");
+    case Hook::kAckForwarded:
+      return "ack_forwarded " + req + " seq=" + to_string(r.seq) +
+             (r.flag ? " [del-proxy]" : "");
+    case Hook::kRequestCompleted:
+      return "request_completed " + req;
+    case Hook::kReissueExhausted:
+      return "REISSUE_EXHAUSTED " + req + " by " + r.mh.str() + " after " +
+             to_string(static_cast<int>(r.attempt)) + " re-issues";
+    case Hook::kRequestLost:
+      return "REQUEST_LOST " + req + " of " + r.mh.str() +
+             " reason=" + loss_reason_name(r.reason);
+    case Hook::kArqFrameSent:
+      return "arq_frame_sent " + r.mh.str() + " epoch=" + to_string(r.epoch) +
+             " seq=" + to_string(r.seq) + " attempt=" + to_string(r.attempt) +
+             " in_flight=" + to_string(r.count) +
+             " window=" + to_string(r.count2);
+    case Hook::kArqDelivered:
+      return "arq_delivered " + r.mh.str() + " epoch=" + to_string(r.epoch) +
+             " seq=" + to_string(r.seq) + (r.flag ? " [dup]" : "");
+    case Hook::kHandoffStarted:
+      return "handoff_started " + r.mh.str() + " " + r.mss.str() + "->" +
+             r.mss_to.str();
+    case Hook::kHandoffCompleted:
+      return "handoff_completed " + r.mh.str() + " " + r.mss.str() + "->" +
+             r.mss_to.str() + " (" + r.span.str() + ", " +
+             to_string(r.count) + " B)";
+    case Hook::kUpdateCurrentloc:
+      return "update_currentLoc " + r.mh.str() + " proxy@" + r.node.str() +
+             " -> " + r.node2.str();
+    case Hook::kMhRegistered:
+      return "mh_registered " + r.mh.str() + " at " + r.mss.str() + " (" +
+             r.span.str() + ")";
+    case Hook::kStaleAckDropped:
+      return "stale_ack_dropped " + req + " from " + r.mh.str();
+    case Hook::kDelproxyWithPending:
+      return "ANOMALY delproxy_with_pending " + r.proxy.str() + " of " +
+             r.mh.str();
+    case Hook::kOrphanedProxy:
+      return "orphaned_proxy " + r.proxy.str() + " of " + r.mh.str();
+    case Hook::kMssCrashed:
+      return "MSS_CRASHED " + r.mss.str() + " (" + to_string(r.count) +
+             " proxies lost, " + to_string(r.count2) + " Mhs detached)";
+    case Hook::kMssRestarted:
+      return "mss_restarted " + r.mss.str() + " (" + to_string(r.count) +
+             " proxies restored)";
+    case Hook::kProxyRestored:
+      return "proxy_restored " + r.proxy.str() + " for " + r.mh.str() +
+             " at " + r.node.str();
+    case Hook::kRequestReissued:
+      return "request_reissued " + req + " by " + r.mh.str() +
+             " attempt=" + to_string(static_cast<int>(r.attempt));
+    case Hook::kBackupPromoted:
+      return "BACKUP_PROMOTED " + r.mss.str() + "->" + r.mss_to.str() + " (" +
+             to_string(r.count) + " proxies adopted)";
+    case Hook::kMssDeparted:
+      return "mss_departed " + r.mss.str() + " epoch=" + to_string(r.epoch);
+    case Hook::kMssRejoined:
+      return "mss_rejoined " + r.mss.str() + " epoch=" + to_string(r.epoch);
+    case Hook::kPrimaryDemoted:
+      return "PRIMARY_DEMOTED " + r.mss.str() + " (" + to_string(r.count) +
+             " proxies dropped)";
+  }
+  return "?";
+}
+
 FlightRecorder::FlightRecorder(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  ring_.reserve(capacity_);
+    : ring_(capacity == 0 ? 1 : capacity) {}
+
+FlightRecorder::Entry& FlightRecorder::next_slot() {
+  ++total_;
+  Entry& slot = ring_[next_];
+  next_ = (next_ + 1) % ring_.size();
+  return slot;
 }
 
 void FlightRecorder::record(common::SimTime at, std::string line) {
-  ++total_;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(Entry{at, std::move(line)});
-    return;
-  }
-  ring_[next_] = Entry{at, std::move(line)};
-  next_ = (next_ + 1) % capacity_;
+  Entry& slot = next_slot();
+  slot.event.at = at;
+  slot.is_note = true;
+  slot.note = std::move(line);
 }
 
-std::size_t FlightRecorder::size() const { return ring_.size(); }
-
-void FlightRecorder::dump(std::ostream& os) const {
-  os << "-- flight recorder: last " << ring_.size() << " of " << total_
-     << " events --\n";
-  char stamp[32];
-  auto write = [&](const Entry& entry) {
-    std::snprintf(stamp, sizeof(stamp), "%12.3f ms  ",
-                  entry.at.to_seconds() * 1e3);
-    os << stamp << entry.line << '\n';
-  };
-  for (std::size_t i = next_; i < ring_.size(); ++i) write(ring_[i]);
-  for (std::size_t i = 0; i < next_; ++i) write(ring_[i]);
-}
-
-void FlightRecorder::clear() {
-  ring_.clear();
-  next_ = 0;
-  total_ = 0;
-  loss_dumped_ = false;
-}
-
-void FlightRecorder::on_proxy_created(common::SimTime t, core::MhId mh,
-                                      core::NodeAddress host, core::ProxyId p) {
-  record(t, "proxy_created " + p.str() + " for " + mh.str() + " at " +
-                host.str());
-}
-
-void FlightRecorder::on_proxy_deleted(common::SimTime t, core::MhId mh,
-                                      core::NodeAddress host, core::ProxyId p,
-                                      bool via_gc) {
-  record(t, "proxy_deleted " + p.str() + " for " + mh.str() + " at " +
-                host.str() + (via_gc ? " [gc]" : ""));
-}
-
-void FlightRecorder::on_request_issued(common::SimTime t, core::MhId mh,
-                                       core::RequestId r,
-                                       core::NodeAddress server) {
-  record(t, "request_issued " + r.str() + " by " + mh.str() + " to " +
-                server.str());
-}
-
-void FlightRecorder::on_request_reached_proxy(common::SimTime t, core::MhId,
-                                              core::RequestId r,
-                                              core::NodeAddress host) {
-  record(t, "request_reached_proxy " + r.str() + " at " + host.str());
-}
-
-void FlightRecorder::on_result_at_proxy(common::SimTime t, core::MhId,
-                                        core::RequestId r, std::uint32_t seq) {
-  record(t, "result_at_proxy " + r.str() + " seq=" + std::to_string(seq));
-}
-
-void FlightRecorder::on_result_forwarded(common::SimTime t, core::MhId,
-                                         core::RequestId r, std::uint32_t seq,
-                                         core::NodeAddress to,
-                                         std::uint32_t attempt, bool del_pref) {
-  record(t, "result_forwarded " + r.str() + " seq=" + std::to_string(seq) +
-                " attempt=" + std::to_string(attempt) + " to=" + to.str() +
-                (del_pref ? " [del-pref]" : ""));
-}
-
-void FlightRecorder::on_result_delivered(common::SimTime t, core::MhId mh,
-                                         core::RequestId r, std::uint32_t seq,
-                                         bool final, bool duplicate,
-                                         std::uint32_t attempt) {
-  record(t, "result_delivered " + r.str() + " seq=" + std::to_string(seq) +
-                " at " + mh.str() + " attempt=" + std::to_string(attempt) +
-                (final ? " [final]" : "") + (duplicate ? " [dup]" : ""));
-}
-
-void FlightRecorder::on_ack_forwarded(common::SimTime t, core::MhId,
-                                      core::RequestId r, std::uint32_t seq,
-                                      bool del_proxy) {
-  record(t, "ack_forwarded " + r.str() + " seq=" + std::to_string(seq) +
-                (del_proxy ? " [del-proxy]" : ""));
-}
-
-void FlightRecorder::on_request_completed(common::SimTime t, core::MhId,
-                                          core::RequestId r) {
-  record(t, "request_completed " + r.str());
-}
-
-void FlightRecorder::on_request_lost(common::SimTime t, core::MhId mh,
-                                     core::RequestId r,
-                                     core::RequestLossReason reason) {
-  record(t, std::string("REQUEST_LOST ") + r.str() + " of " + mh.str() +
-                " reason=" + loss_reason_name(reason));
-  if (loss_sink_ != nullptr && !loss_dumped_) {
+void FlightRecorder::on_event(const core::EventRecord& record) {
+  Entry& slot = next_slot();
+  slot.event = record;
+  slot.is_note = false;
+  if (record.kind == core::Hook::kRequestLost && loss_sink_ != nullptr &&
+      !loss_dumped_) {
     loss_dumped_ = true;
     dump(*loss_sink_);
   }
 }
 
-void FlightRecorder::on_handoff_started(common::SimTime t, core::MhId mh,
-                                        core::MssId from, core::MssId to) {
-  record(t, "handoff_started " + mh.str() + " " + from.str() + "->" +
-                to.str());
+std::size_t FlightRecorder::size() const {
+  return total_ < ring_.size() ? static_cast<std::size_t>(total_)
+                               : ring_.size();
 }
 
-void FlightRecorder::on_handoff_completed(common::SimTime t, core::MhId mh,
-                                          core::MssId from, core::MssId to,
-                                          common::Duration latency,
-                                          std::size_t bytes) {
-  record(t, "handoff_completed " + mh.str() + " " + from.str() + "->" +
-                to.str() + " (" + latency.str() + ", " +
-                std::to_string(bytes) + " B)");
+void FlightRecorder::dump(std::ostream& os) const {
+  const std::size_t retained = size();
+  os << "-- flight recorder: last " << retained << " of " << total_
+     << " events --\n";
+  // Once the ring has wrapped, the oldest entry is the next to be
+  // overwritten.
+  const std::size_t oldest = retained < ring_.size() ? 0 : next_;
+  char stamp[32];
+  for (std::size_t i = 0; i < retained; ++i) {
+    const Entry& entry = ring_[(oldest + i) % ring_.size()];
+    std::snprintf(stamp, sizeof(stamp), "%12.3f ms  ",
+                  entry.event.at.to_seconds() * 1e3);
+    os << stamp << (entry.is_note ? entry.note : format(entry.event)) << '\n';
+  }
 }
 
-void FlightRecorder::on_update_currentloc(common::SimTime t, core::MhId mh,
-                                          core::NodeAddress host,
-                                          core::NodeAddress loc) {
-  record(t, "update_currentLoc " + mh.str() + " proxy@" + host.str() +
-                " -> " + loc.str());
-}
-
-void FlightRecorder::on_mh_registered(common::SimTime t, core::MhId mh,
-                                      core::MssId mss,
-                                      common::Duration since_greet) {
-  record(t, "mh_registered " + mh.str() + " at " + mss.str() + " (" +
-                since_greet.str() + ")");
-}
-
-void FlightRecorder::on_stale_ack_dropped(common::SimTime t, core::MhId mh,
-                                          core::RequestId r) {
-  record(t, "stale_ack_dropped " + r.str() + " from " + mh.str());
-}
-
-void FlightRecorder::on_delproxy_with_pending(common::SimTime t, core::MhId mh,
-                                              core::ProxyId p) {
-  record(t, "ANOMALY delproxy_with_pending " + p.str() + " of " + mh.str());
-}
-
-void FlightRecorder::on_orphaned_proxy(common::SimTime t, core::MhId mh,
-                                       core::ProxyId p) {
-  record(t, "orphaned_proxy " + p.str() + " of " + mh.str());
-}
-
-void FlightRecorder::on_mss_crashed(common::SimTime t, core::MssId mss,
-                                    std::size_t proxies, std::size_t mhs) {
-  record(t, "MSS_CRASHED " + mss.str() + " (" + std::to_string(proxies) +
-                " proxies lost, " + std::to_string(mhs) + " Mhs detached)");
-}
-
-void FlightRecorder::on_mss_restarted(common::SimTime t, core::MssId mss,
-                                      std::size_t restored) {
-  record(t, "mss_restarted " + mss.str() + " (" + std::to_string(restored) +
-                " proxies restored)");
-}
-
-void FlightRecorder::on_proxy_restored(common::SimTime t, core::MhId mh,
-                                       core::NodeAddress host,
-                                       core::ProxyId p) {
-  record(t, "proxy_restored " + p.str() + " for " + mh.str() + " at " +
-                host.str());
-}
-
-void FlightRecorder::on_request_reissued(common::SimTime t, core::MhId mh,
-                                         core::RequestId r, int attempt) {
-  record(t, "request_reissued " + r.str() + " by " + mh.str() +
-                " attempt=" + std::to_string(attempt));
-}
-
-void FlightRecorder::on_reissue_exhausted(common::SimTime t, core::MhId mh,
-                                          core::RequestId r, int attempts) {
-  record(t, "REISSUE_EXHAUSTED " + r.str() + " by " + mh.str() + " after " +
-                std::to_string(attempts) + " re-issues");
+void FlightRecorder::clear() {
+  next_ = 0;
+  total_ = 0;
+  loss_dumped_ = false;
 }
 
 }  // namespace rdp::obs

@@ -1,12 +1,13 @@
 // Bounded ring buffer of recent protocol events ("flight recorder").
 //
-// Keeps the last N events of the observer stream as formatted lines so
-// that, when something goes wrong late in a long run — a test failure, an
-// invariant violation, an on_request_lost — the investigation starts with
-// the tail of protocol history instead of a bare counter.  The fault
+// Keeps the last N events of the observer stream so that, when something
+// goes wrong late in a long run — a test failure, an invariant violation,
+// an on_request_lost — the investigation starts with the tail of protocol
+// history instead of a bare counter.  Events are kept as typed records and
+// formatted only by dump(), so recording one never allocates.  The fault
 // subsystem also records its injected faults and wire-level drop decisions
-// here (FaultInjector::set_flight_recorder), which plain RdpObserver hooks
-// never see.
+// here as free-text notes (fault::FaultInjector), which plain
+// RdpObserver hooks never see.
 #pragma once
 
 #include <cstddef>
@@ -15,22 +16,28 @@
 #include <string>
 #include <vector>
 
-#include "core/events.h"
+#include "core/event_record.h"
 
 namespace rdp::obs {
 
-class FlightRecorder final : public core::RdpObserver {
+// The recorder's text for one event (no timestamp): the line dump()
+// prints after the time column.
+[[nodiscard]] std::string format(const core::EventRecord& record);
+
+class FlightRecorder final : public core::EventRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 512);
 
-  // Append one line; oldest entries are overwritten once full.  Public so
-  // non-observer subsystems (fault injection, benches) can add context.
+  // Append one free-text note; oldest entries are overwritten once full.
+  // Public so non-observer subsystems (fault injection, benches) can add
+  // context.
   void record(common::SimTime at, std::string line);
 
-  // Write the retained tail, oldest first.
+  // Write the retained tail, oldest first.  Events are formatted here, not
+  // when they are recorded.
   void dump(std::ostream& os) const;
 
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
   // Entries currently retained (<= capacity).
   [[nodiscard]] std::size_t size() const;
   // Entries ever recorded (including overwritten ones).
@@ -43,78 +50,30 @@ class FlightRecorder final : public core::RdpObserver {
   void dump_on_loss(std::ostream* os) { loss_sink_ = os; }
 
   // --- RdpObserver ---------------------------------------------------------
+  // Every hook except the two per-frame ARQ hooks, which would flood the
+  // ring.
   [[nodiscard]] std::uint32_t hook_mask() const override {
     using core::Hook;
     using core::hook_bit;
-    return hook_bit(Hook::kProxyCreated) | hook_bit(Hook::kProxyDeleted) |
-           hook_bit(Hook::kRequestIssued) |
-           hook_bit(Hook::kRequestReachedProxy) |
-           hook_bit(Hook::kResultAtProxy) | hook_bit(Hook::kResultForwarded) |
-           hook_bit(Hook::kResultDelivered) | hook_bit(Hook::kAckForwarded) |
-           hook_bit(Hook::kRequestCompleted) | hook_bit(Hook::kRequestLost) |
-           hook_bit(Hook::kHandoffStarted) | hook_bit(Hook::kHandoffCompleted) |
-           hook_bit(Hook::kUpdateCurrentloc) | hook_bit(Hook::kMhRegistered) |
-           hook_bit(Hook::kStaleAckDropped) |
-           hook_bit(Hook::kDelproxyWithPending) |
-           hook_bit(Hook::kOrphanedProxy) | hook_bit(Hook::kMssCrashed) |
-           hook_bit(Hook::kMssRestarted) | hook_bit(Hook::kProxyRestored) |
-           hook_bit(Hook::kRequestReissued) |
-           hook_bit(Hook::kReissueExhausted);
+    return kAllHooks &
+           ~(hook_bit(Hook::kArqFrameSent) | hook_bit(Hook::kArqDelivered));
   }
-  void on_proxy_created(common::SimTime, core::MhId, core::NodeAddress,
-                        core::ProxyId) override;
-  void on_proxy_deleted(common::SimTime, core::MhId, core::NodeAddress,
-                        core::ProxyId, bool) override;
-  void on_request_issued(common::SimTime, core::MhId, core::RequestId,
-                         core::NodeAddress) override;
-  void on_request_reached_proxy(common::SimTime, core::MhId, core::RequestId,
-                                core::NodeAddress) override;
-  void on_result_at_proxy(common::SimTime, core::MhId, core::RequestId,
-                          std::uint32_t) override;
-  void on_result_forwarded(common::SimTime, core::MhId, core::RequestId,
-                           std::uint32_t, core::NodeAddress, std::uint32_t,
-                           bool) override;
-  void on_result_delivered(common::SimTime, core::MhId, core::RequestId,
-                           std::uint32_t, bool, bool, std::uint32_t) override;
-  void on_ack_forwarded(common::SimTime, core::MhId, core::RequestId,
-                        std::uint32_t, bool) override;
-  void on_request_completed(common::SimTime, core::MhId,
-                            core::RequestId) override;
-  void on_request_lost(common::SimTime, core::MhId, core::RequestId,
-                       core::RequestLossReason) override;
-  void on_handoff_started(common::SimTime, core::MhId, core::MssId,
-                          core::MssId) override;
-  void on_handoff_completed(common::SimTime, core::MhId, core::MssId,
-                            core::MssId, common::Duration,
-                            std::size_t) override;
-  void on_update_currentloc(common::SimTime, core::MhId, core::NodeAddress,
-                            core::NodeAddress) override;
-  void on_mh_registered(common::SimTime, core::MhId, core::MssId,
-                        common::Duration) override;
-  void on_stale_ack_dropped(common::SimTime, core::MhId,
-                            core::RequestId) override;
-  void on_delproxy_with_pending(common::SimTime, core::MhId,
-                                core::ProxyId) override;
-  void on_orphaned_proxy(common::SimTime, core::MhId, core::ProxyId) override;
-  void on_mss_crashed(common::SimTime, core::MssId, std::size_t,
-                      std::size_t) override;
-  void on_mss_restarted(common::SimTime, core::MssId, std::size_t) override;
-  void on_proxy_restored(common::SimTime, core::MhId, core::NodeAddress,
-                         core::ProxyId) override;
-  void on_request_reissued(common::SimTime, core::MhId, core::RequestId,
-                           int) override;
-  void on_reissue_exhausted(common::SimTime, core::MhId, core::RequestId,
-                            int) override;
+  void on_event(const core::EventRecord& record) override;
 
  private:
+  // One ring slot: an observer event, or a free-text note stamped with
+  // event.at.
   struct Entry {
-    common::SimTime at;
-    std::string line;
+    core::EventRecord event;
+    bool is_note = false;
+    std::string note;
   };
 
-  std::size_t capacity_;
-  std::vector<Entry> ring_;
-  std::size_t next_ = 0;  // slot the next record lands in once full
+  // The slot the next entry lands in (overwriting the oldest once full).
+  Entry& next_slot();
+
+  std::vector<Entry> ring_;  // sized to the capacity up front
+  std::size_t next_ = 0;     // slot the next entry lands in
   std::uint64_t total_ = 0;
   std::ostream* loss_sink_ = nullptr;
   bool loss_dumped_ = false;

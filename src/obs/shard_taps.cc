@@ -1,6 +1,8 @@
 #include "obs/shard_taps.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 #include "net/shard_router.h"
 #include "obs/perf_probe.h"
@@ -10,7 +12,7 @@ namespace rdp::obs {
 
 namespace {
 
-// Hook discriminators.  The value doubles as the tie-break rank for hooks
+// Replay ranks, one per hook kind.  The rank is the tie-break for hooks
 // sharing one (time, tag), so the ranks are chosen to match causal emission
 // order for every pair a single handler can emit at the same instant: a
 // proxy is created before requests reach it, results arrive before they are
@@ -25,46 +27,101 @@ namespace {
 // Mh's next request (proxy created -> reached) back-to-back at a single
 // instant, and replaying the new incarnation's hooks before the old one's
 // deletion would bind the fresh request to the dead proxy (a spurious R4).
-enum HookKind : int {
-  kMhRegistered = 0,
-  // ARQ delivery precedes everything it can trigger at the same instant
-  // (request dispatch, proxy creation); the frame-send hook ranks last of
-  // all, because a delivery/ack at time t can enqueue and send the next
-  // frame at t (result delivered -> uplinkAck enqueued -> frame sent).
-  kArqDelivered,
-  kResultAtProxy,
-  kResultForwarded,
-  kResultDelivered,
-  kAckForwarded,
-  kRequestCompleted,
-  kStaleAckDropped,
-  kDelproxyWithPending,
-  kReissueExhausted,  // emitted immediately before its on_request_lost
-  kRequestLost,
-  kOrphanedProxy,
-  kProxyDeleted,
-  kProxyCreated,
-  kProxyRestored,
-  kBackupPromoted,
-  kRequestIssued,
-  kRequestReissued,
-  kRequestReachedProxy,
-  kHandoffStarted,
-  kHandoffCompleted,
-  kUpdateCurrentloc,
-  kMssCrashed,
-  kMssRestarted,
-  kArqFrameSent,  // see kArqDelivered comment
+constexpr core::Hook kReplayOrder[] = {
+    core::Hook::kMhRegistered,
+    // ARQ delivery precedes everything it can trigger at the same instant
+    // (request dispatch, proxy creation); the frame-send hook ranks last of
+    // all, because a delivery/ack at time t can enqueue and send the next
+    // frame at t (result delivered -> uplinkAck enqueued -> frame sent).
+    core::Hook::kArqDelivered,
+    core::Hook::kResultAtProxy,
+    core::Hook::kResultForwarded,
+    core::Hook::kResultDelivered,
+    core::Hook::kAckForwarded,
+    core::Hook::kRequestCompleted,
+    core::Hook::kStaleAckDropped,
+    core::Hook::kDelproxyWithPending,
+    core::Hook::kReissueExhausted,  // emitted right before its request_lost
+    core::Hook::kRequestLost,
+    core::Hook::kOrphanedProxy,
+    core::Hook::kProxyDeleted,
+    core::Hook::kProxyCreated,
+    core::Hook::kProxyRestored,
+    core::Hook::kBackupPromoted,
+    core::Hook::kRequestIssued,
+    core::Hook::kRequestReissued,
+    core::Hook::kRequestReachedProxy,
+    core::Hook::kHandoffStarted,
+    core::Hook::kHandoffCompleted,
+    core::Hook::kUpdateCurrentloc,
+    core::Hook::kMssCrashed,
+    core::Hook::kMssRestarted,
+    core::Hook::kArqFrameSent,  // see kArqDelivered comment
+    // Not buffered (ShardObserverBuffer::hook_mask); ranked for totality.
+    core::Hook::kMssDeparted,
+    core::Hook::kMssRejoined,
+    core::Hook::kPrimaryDemoted,
 };
+static_assert(std::size(kReplayOrder) == core::RdpObserver::kHookCount);
+
+// kReplayOrder inverted: rank of each Hook value.
+constexpr auto kReplayRank = [] {
+  std::array<std::int32_t, core::RdpObserver::kHookCount> rank{};
+  for (std::size_t i = 0; i < std::size(kReplayOrder); ++i) {
+    rank[static_cast<std::size_t>(kReplayOrder[i])] =
+        static_cast<std::int32_t>(i);
+  }
+  return rank;
+}();
+
+// Primary entity: the Mh, or kMssTagBase | Mss for the Mss-keyed hooks.
+std::uint64_t primary_tag(const core::EventRecord& r) {
+  switch (r.kind) {
+    case core::Hook::kMssCrashed:
+    case core::Hook::kMssRestarted:
+    case core::Hook::kBackupPromoted:
+    case core::Hook::kMssDeparted:
+    case core::Hook::kMssRejoined:
+    case core::Hook::kPrimaryDemoted:
+      return ShardObserverBuffer::kMssTagBase | r.mss.value();
+    default:
+      return r.mh.value();
+  }
+}
+
+// Secondary discriminator among one entity's same-rank hooks.
+std::uint64_t secondary_tag(const core::EventRecord& r) {
+  switch (r.kind) {
+    case core::Hook::kProxyCreated:
+    case core::Hook::kProxyDeleted:
+    case core::Hook::kProxyRestored:
+    case core::Hook::kResultForwarded:
+    case core::Hook::kUpdateCurrentloc:
+      return r.node.value();
+    case core::Hook::kHandoffStarted:
+    case core::Hook::kHandoffCompleted:
+    case core::Hook::kBackupPromoted:
+      return r.mss_to.value();
+    case core::Hook::kMhRegistered:
+      return r.mss.value();
+    case core::Hook::kDelproxyWithPending:
+    case core::Hook::kOrphanedProxy:
+      return r.proxy.value();
+    case core::Hook::kArqFrameSent:
+    case core::Hook::kArqDelivered:
+      return (r.epoch << 32) | r.seq;
+    case core::Hook::kMssCrashed:
+    case core::Hook::kMssRestarted:
+    case core::Hook::kMssDeparted:
+    case core::Hook::kMssRejoined:
+    case core::Hook::kPrimaryDemoted:
+      return 0;
+    default:  // the request hooks
+      return r.request.seq();
+  }
+}
 
 }  // namespace
-
-void ShardObserverBuffer::push(
-    common::SimTime at, std::uint64_t tag, int kind, std::uint64_t tag2,
-    sim::SmallFn<void(core::RdpObserver&), 64> replay) {
-  hooks_.push_back(
-      BufferedHook{at, tag, kind, tag2, next_idx_++, std::move(replay)});
-}
 
 void ShardObserverBuffer::on_wired_send(const net::Envelope& envelope) {
   wired_.push_back(BufferedWiredSend{
@@ -78,216 +135,6 @@ void ShardObserverBuffer::on_wireless_frame(common::MhId mh,
                                             net::FramePhase phase) {
   frames_.push_back(BufferedFrame{simulator_.now(), mh, uplink, phase, payload,
                                   next_idx_++});
-}
-
-void ShardObserverBuffer::on_proxy_created(core::SimTime t, common::MhId mh,
-                                           common::NodeAddress host,
-                                           common::ProxyId p) {
-  push(t, mh.value(), kProxyCreated, host.value(),
-       [=](core::RdpObserver& o) { o.on_proxy_created(t, mh, host, p); });
-}
-
-void ShardObserverBuffer::on_proxy_deleted(core::SimTime t, common::MhId mh,
-                                           common::NodeAddress host,
-                                           common::ProxyId p, bool gc) {
-  push(t, mh.value(), kProxyDeleted, host.value(),
-       [=](core::RdpObserver& o) { o.on_proxy_deleted(t, mh, host, p, gc); });
-}
-
-void ShardObserverBuffer::on_request_issued(core::SimTime t, common::MhId mh,
-                                            common::RequestId r,
-                                            common::NodeAddress server) {
-  push(t, mh.value(), kRequestIssued, r.seq(),
-       [=](core::RdpObserver& o) { o.on_request_issued(t, mh, r, server); });
-}
-
-void ShardObserverBuffer::on_request_reached_proxy(core::SimTime t,
-                                                   common::MhId mh,
-                                                   common::RequestId r,
-                                                   common::NodeAddress host) {
-  push(t, mh.value(), kRequestReachedProxy, r.seq(),
-       [=](core::RdpObserver& o) {
-         o.on_request_reached_proxy(t, mh, r, host);
-       });
-}
-
-void ShardObserverBuffer::on_result_at_proxy(core::SimTime t, common::MhId mh,
-                                             common::RequestId r,
-                                             std::uint32_t seq) {
-  push(t, mh.value(), kResultAtProxy, r.seq(),
-       [=](core::RdpObserver& o) { o.on_result_at_proxy(t, mh, r, seq); });
-}
-
-void ShardObserverBuffer::on_result_forwarded(core::SimTime t, common::MhId mh,
-                                              common::RequestId r,
-                                              std::uint32_t seq,
-                                              common::NodeAddress to,
-                                              std::uint32_t attempt,
-                                              bool del_pref) {
-  push(t, mh.value(), kResultForwarded, to.value(),
-       [=](core::RdpObserver& o) {
-         o.on_result_forwarded(t, mh, r, seq, to, attempt, del_pref);
-       });
-}
-
-void ShardObserverBuffer::on_result_delivered(core::SimTime t, common::MhId mh,
-                                              common::RequestId r,
-                                              std::uint32_t seq, bool final,
-                                              bool dup,
-                                              std::uint32_t attempt) {
-  push(t, mh.value(), kResultDelivered, r.seq(),
-       [=](core::RdpObserver& o) {
-         o.on_result_delivered(t, mh, r, seq, final, dup, attempt);
-       });
-}
-
-void ShardObserverBuffer::on_ack_forwarded(core::SimTime t, common::MhId mh,
-                                           common::RequestId r,
-                                           std::uint32_t seq, bool del_proxy) {
-  push(t, mh.value(), kAckForwarded, r.seq(),
-       [=](core::RdpObserver& o) {
-         o.on_ack_forwarded(t, mh, r, seq, del_proxy);
-       });
-}
-
-void ShardObserverBuffer::on_request_completed(core::SimTime t,
-                                               common::MhId mh,
-                                               common::RequestId r) {
-  push(t, mh.value(), kRequestCompleted, r.seq(),
-       [=](core::RdpObserver& o) { o.on_request_completed(t, mh, r); });
-}
-
-void ShardObserverBuffer::on_request_lost(core::SimTime t, common::MhId mh,
-                                          common::RequestId r,
-                                          core::RequestLossReason reason) {
-  push(t, mh.value(), kRequestLost, r.seq(),
-       [=](core::RdpObserver& o) { o.on_request_lost(t, mh, r, reason); });
-}
-
-void ShardObserverBuffer::on_handoff_started(core::SimTime t, common::MhId mh,
-                                             common::MssId from,
-                                             common::MssId to) {
-  push(t, mh.value(), kHandoffStarted, to.value(),
-       [=](core::RdpObserver& o) { o.on_handoff_started(t, mh, from, to); });
-}
-
-void ShardObserverBuffer::on_handoff_completed(core::SimTime t,
-                                               common::MhId mh,
-                                               common::MssId from,
-                                               common::MssId to,
-                                               common::Duration latency,
-                                               std::size_t bytes) {
-  push(t, mh.value(), kHandoffCompleted, to.value(),
-       [=](core::RdpObserver& o) {
-         o.on_handoff_completed(t, mh, from, to, latency, bytes);
-       });
-}
-
-void ShardObserverBuffer::on_update_currentloc(core::SimTime t,
-                                               common::MhId mh,
-                                               common::NodeAddress host,
-                                               common::NodeAddress loc) {
-  push(t, mh.value(), kUpdateCurrentloc, host.value(),
-       [=](core::RdpObserver& o) {
-         o.on_update_currentloc(t, mh, host, loc);
-       });
-}
-
-void ShardObserverBuffer::on_mh_registered(core::SimTime t, common::MhId mh,
-                                           common::MssId mss,
-                                           common::Duration d) {
-  push(t, mh.value(), kMhRegistered, mss.value(),
-       [=](core::RdpObserver& o) { o.on_mh_registered(t, mh, mss, d); });
-}
-
-void ShardObserverBuffer::on_stale_ack_dropped(core::SimTime t,
-                                               common::MhId mh,
-                                               common::RequestId r) {
-  push(t, mh.value(), kStaleAckDropped, r.seq(),
-       [=](core::RdpObserver& o) { o.on_stale_ack_dropped(t, mh, r); });
-}
-
-void ShardObserverBuffer::on_delproxy_with_pending(core::SimTime t,
-                                                   common::MhId mh,
-                                                   common::ProxyId p) {
-  push(t, mh.value(), kDelproxyWithPending, p.value(),
-       [=](core::RdpObserver& o) { o.on_delproxy_with_pending(t, mh, p); });
-}
-
-void ShardObserverBuffer::on_orphaned_proxy(core::SimTime t, common::MhId mh,
-                                            common::ProxyId p) {
-  push(t, mh.value(), kOrphanedProxy, p.value(),
-       [=](core::RdpObserver& o) { o.on_orphaned_proxy(t, mh, p); });
-}
-
-void ShardObserverBuffer::on_mss_crashed(core::SimTime t, common::MssId mss,
-                                         std::size_t proxies,
-                                         std::size_t mhs) {
-  push(t, kMssTagBase | mss.value(), kMssCrashed, 0,
-       [=](core::RdpObserver& o) { o.on_mss_crashed(t, mss, proxies, mhs); });
-}
-
-void ShardObserverBuffer::on_mss_restarted(core::SimTime t, common::MssId mss,
-                                           std::size_t restored) {
-  push(t, kMssTagBase | mss.value(), kMssRestarted, 0,
-       [=](core::RdpObserver& o) { o.on_mss_restarted(t, mss, restored); });
-}
-
-void ShardObserverBuffer::on_proxy_restored(core::SimTime t, common::MhId mh,
-                                            common::NodeAddress host,
-                                            common::ProxyId p) {
-  push(t, mh.value(), kProxyRestored, host.value(),
-       [=](core::RdpObserver& o) { o.on_proxy_restored(t, mh, host, p); });
-}
-
-void ShardObserverBuffer::on_request_reissued(core::SimTime t, common::MhId mh,
-                                              common::RequestId r,
-                                              int attempt) {
-  push(t, mh.value(), kRequestReissued, r.seq(),
-       [=](core::RdpObserver& o) { o.on_request_reissued(t, mh, r, attempt); });
-}
-
-void ShardObserverBuffer::on_backup_promoted(core::SimTime t,
-                                             common::MssId primary,
-                                             common::MssId backup,
-                                             std::size_t adopted) {
-  push(t, kMssTagBase | primary.value(), kBackupPromoted, backup.value(),
-       [=](core::RdpObserver& o) {
-         o.on_backup_promoted(t, primary, backup, adopted);
-       });
-}
-
-void ShardObserverBuffer::on_reissue_exhausted(core::SimTime t, common::MhId mh,
-                                               common::RequestId r,
-                                               int attempts) {
-  push(t, mh.value(), kReissueExhausted, r.seq(),
-       [=](core::RdpObserver& o) {
-         o.on_reissue_exhausted(t, mh, r, attempts);
-       });
-}
-
-void ShardObserverBuffer::on_arq_frame_sent(core::SimTime t, common::MhId mh,
-                                            std::uint32_t epoch,
-                                            std::uint32_t seq,
-                                            std::uint32_t attempt,
-                                            std::size_t in_flight,
-                                            std::size_t window_limit) {
-  push(t, mh.value(), kArqFrameSent,
-       (static_cast<std::uint64_t>(epoch) << 32) | seq,
-       [=](core::RdpObserver& o) {
-         o.on_arq_frame_sent(t, mh, epoch, seq, attempt, in_flight,
-                             window_limit);
-       });
-}
-
-void ShardObserverBuffer::on_arq_delivered(core::SimTime t, common::MhId mh,
-                                           std::uint32_t epoch,
-                                           std::uint32_t seq, bool duplicate) {
-  push(t, mh.value(), kArqDelivered,
-       (static_cast<std::uint64_t>(epoch) << 32) | seq,
-       [=](core::RdpObserver& o) {
-         o.on_arq_delivered(t, mh, epoch, seq, duplicate);
-       });
 }
 
 // --- merger ----------------------------------------------------------------
@@ -308,8 +155,8 @@ void ShardTapMerger::add_frame_sink(FrameSink sink) {
 }
 
 void ShardTapMerger::flush() {
-  // Barrier-time replay into the global consumers; the per-hook replay
-  // lambdas go through ObserverList, so their cost splits into the
+  // Barrier-time replay into the global consumers; replayed hooks go
+  // through ObserverList, so their cost splits into the
   // per-hook domains below this one.  The probe itself contributes no
   // invocation — the count added below is one per replayed record, so the
   // domain's count reads as fan-outs performed, not barriers crossed.
@@ -368,23 +215,24 @@ void ShardTapMerger::flush() {
   for (int s = 0; s < static_cast<int>(buffers_.size()); ++s) {
     const auto& records = buffers_[s]->hooks_;
     for (std::uint32_t i = 0; i < records.size(); ++i) {
-      hook_keys_.push_back(HookKey{records[i].at, records[i].tag,
-                                   records[i].tag2, records[i].idx,
-                                   records[i].kind, s, i});
+      const core::EventRecord& r = records[i].record;
+      hook_keys_.push_back(
+          HookKey{r.at, primary_tag(r), secondary_tag(r), records[i].idx,
+                  kReplayRank[static_cast<std::size_t>(r.kind)], s, i});
     }
   }
   std::sort(hook_keys_.begin(), hook_keys_.end(),
             [](const HookKey& a, const HookKey& b) {
               if (a.at != b.at) return a.at < b.at;
               if (a.tag != b.tag) return a.tag < b.tag;
-              if (a.kind != b.kind) return a.kind < b.kind;
+              if (a.rank != b.rank) return a.rank < b.rank;
               if (a.tag2 != b.tag2) return a.tag2 < b.tag2;
               if (a.shard != b.shard) return a.shard < b.shard;
               return a.idx < b.idx;
             });
   if (hook_sink_ != nullptr) {
     for (const auto& key : hook_keys_) {
-      buffers_[key.shard]->hooks_[key.pos].replay(*hook_sink_);
+      core::replay(buffers_[key.shard]->hooks_[key.pos].record, *hook_sink_);
     }
   }
   for (auto* buffer : buffers_) buffer->hooks_.clear();

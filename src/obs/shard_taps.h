@@ -5,16 +5,21 @@
 // sensitive, so they cannot be fed concurrently from several worker
 // threads, and they cannot be sharded (a request's lifecycle crosses
 // shards).  Instead each shard buffers everything it would have reported —
-// RdpObserver hooks, wired send records, wireless frame records — into a
-// thread-private ShardObserverBuffer, and at every window barrier the
-// ShardTapMerger drains all buffers, sorts each record class by a canonical
-// partition-invariant key, and replays the merged stream single-threaded
-// into the real consumers.
+// RdpObserver hooks as core::EventRecords, wired send records, wireless
+// frame records — into a thread-private ShardObserverBuffer, and at every
+// window barrier the ShardTapMerger drains all buffers, sorts each record
+// class by a canonical partition-invariant key, and replays the merged
+// stream single-threaded into the real consumers (hooks through
+// core::replay).
+//
+// The hook kind in the sort key is a replay rank, not the Hook value; the
+// rank table in shard_taps.cc orders same-instant hooks of one entity by
+// causal emission order.
 //
 // The sort keys never use the shard index as anything but a last-resort
 // tie-break, and the records that could collide up to that point are ones
 // whose relative order no consumer can distinguish:
-//   * hooks:  (time, entity tag, hook kind, secondary tag, shard, idx) —
+//   * hooks:  (time, entity tag, hook rank, secondary tag, shard, idx) —
 //     a single entity's hooks all originate on one shard (its home), so
 //     same-entity streams are ordered by program order (idx);
 //   * wired:  (send time, link key, idx) — a link's sends all originate on
@@ -32,23 +37,18 @@
 #include <functional>
 #include <vector>
 
-#include "core/events.h"
+#include "core/event_record.h"
 #include "net/message.h"
 #include "net/wireless.h"
-#include "sim/callback.h"
 
 namespace rdp::obs {
 
 // One shard's buffered observations between two barriers.
-class ShardObserverBuffer final : public core::RdpObserver {
+class ShardObserverBuffer final : public core::EventRecorder {
  public:
   struct BufferedHook {
-    common::SimTime at;
-    std::uint64_t tag;   // primary entity (mh, or kMssTagBase | mss)
-    int kind;            // hook discriminator, in declaration order
-    std::uint64_t tag2;  // secondary entity / sequence discriminator
-    std::uint64_t idx;   // program order within this buffer
-    sim::SmallFn<void(core::RdpObserver&), 64> replay;
+    core::EventRecord record;
+    std::uint64_t idx;  // program order within this buffer
   };
   struct BufferedWiredSend {
     net::Envelope envelope;
@@ -76,10 +76,11 @@ class ShardObserverBuffer final : public core::RdpObserver {
   void on_wireless_frame(common::MhId mh, const net::PayloadPtr& payload,
                          bool uplink, net::FramePhase phase);
 
-  // --- RdpObserver hooks ---------------------------------------------------
+  // --- RdpObserver hooks, as records ---------------------------------------
   // Everything the buffer records; the three membership-churn hooks
   // (mss_departed / mss_rejoined / primary_demoted) are not buffered —
-  // sharded worlds do not run the ring-repair subsystem.
+  // sharded worlds apply churn at barriers and report it to the global
+  // consumers directly.
   [[nodiscard]] std::uint32_t hook_mask() const override {
     using core::Hook;
     using core::hook_bit;
@@ -87,65 +88,12 @@ class ShardObserverBuffer final : public core::RdpObserver {
                          hook_bit(Hook::kMssRejoined) |
                          hook_bit(Hook::kPrimaryDemoted));
   }
-  void on_proxy_created(core::SimTime, common::MhId, common::NodeAddress,
-                        common::ProxyId) override;
-  void on_proxy_deleted(core::SimTime, common::MhId, common::NodeAddress,
-                        common::ProxyId, bool) override;
-  void on_request_issued(core::SimTime, common::MhId, common::RequestId,
-                         common::NodeAddress) override;
-  void on_request_reached_proxy(core::SimTime, common::MhId, common::RequestId,
-                                common::NodeAddress) override;
-  void on_result_at_proxy(core::SimTime, common::MhId, common::RequestId,
-                          std::uint32_t) override;
-  void on_result_forwarded(core::SimTime, common::MhId, common::RequestId,
-                           std::uint32_t, common::NodeAddress, std::uint32_t,
-                           bool) override;
-  void on_result_delivered(core::SimTime, common::MhId, common::RequestId,
-                           std::uint32_t, bool, bool, std::uint32_t) override;
-  void on_ack_forwarded(core::SimTime, common::MhId, common::RequestId,
-                        std::uint32_t, bool) override;
-  void on_request_completed(core::SimTime, common::MhId,
-                            common::RequestId) override;
-  void on_request_lost(core::SimTime, common::MhId, common::RequestId,
-                       core::RequestLossReason) override;
-  void on_handoff_started(core::SimTime, common::MhId, common::MssId,
-                          common::MssId) override;
-  void on_handoff_completed(core::SimTime, common::MhId, common::MssId,
-                            common::MssId, common::Duration,
-                            std::size_t) override;
-  void on_update_currentloc(core::SimTime, common::MhId, common::NodeAddress,
-                            common::NodeAddress) override;
-  void on_mh_registered(core::SimTime, common::MhId, common::MssId,
-                        common::Duration) override;
-  void on_stale_ack_dropped(core::SimTime, common::MhId,
-                            common::RequestId) override;
-  void on_delproxy_with_pending(core::SimTime, common::MhId,
-                                common::ProxyId) override;
-  void on_orphaned_proxy(core::SimTime, common::MhId,
-                         common::ProxyId) override;
-  void on_mss_crashed(core::SimTime, common::MssId, std::size_t,
-                      std::size_t) override;
-  void on_mss_restarted(core::SimTime, common::MssId, std::size_t) override;
-  void on_proxy_restored(core::SimTime, common::MhId, common::NodeAddress,
-                         common::ProxyId) override;
-  void on_request_reissued(core::SimTime, common::MhId, common::RequestId,
-                           int) override;
-  void on_backup_promoted(core::SimTime, common::MssId, common::MssId,
-                          std::size_t) override;
-  void on_reissue_exhausted(core::SimTime, common::MhId, common::RequestId,
-                            int) override;
-  void on_arq_frame_sent(core::SimTime, common::MhId, std::uint32_t,
-                         std::uint32_t, std::uint32_t, std::size_t,
-                         std::size_t) override;
-  void on_arq_delivered(core::SimTime, common::MhId, std::uint32_t,
-                        std::uint32_t, bool) override;
+  void on_event(const core::EventRecord& record) override {
+    hooks_.push_back(BufferedHook{record, next_idx_++});
+  }
 
  private:
   friend class ShardTapMerger;
-
-  void push(common::SimTime at, std::uint64_t tag, int kind,
-            std::uint64_t tag2,
-            sim::SmallFn<void(core::RdpObserver&), 64> replay);
 
   const sim::Simulator& simulator_;
   std::vector<BufferedHook> hooks_;
@@ -177,17 +125,16 @@ class ShardTapMerger {
   void flush();
 
  private:
-  // The merge sorts these compact keys (copies of the sort fields plus the
-  // record's position in its buffer) instead of moving the records
-  // themselves — a BufferedHook is ~100 bytes of mostly-inline lambda that
-  // the sort would otherwise shuffle repeatedly.  The key vectors are
+  // The merge sorts these compact keys (the sort fields plus the record's
+  // position in its buffer) instead of moving the ~100-byte records
+  // themselves, which the sort would otherwise shuffle repeatedly.  The key vectors are
   // retained across flushes, so steady-state flushes allocate nothing.
   struct HookKey {
     common::SimTime at;
     std::uint64_t tag;
     std::uint64_t tag2;
     std::uint64_t idx;
-    std::int32_t kind;
+    std::int32_t rank;
     std::int32_t shard;
     std::uint32_t pos;
   };

@@ -2,33 +2,43 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rdp::stats {
 
 // A named-counter registry.  Uses std::map so snapshots iterate in a
-// deterministic order (important for golden-output tests).
+// deterministic order (important for golden-output tests), with a
+// transparent comparator so bumping an existing counter looks it up by
+// string_view and allocates nothing; only a counter's first increment
+// copies its name.
 class CounterRegistry {
  public:
-  void increment(const std::string& name, std::uint64_t by = 1) {
-    counters_[name] += by;
+  using Map = std::map<std::string, std::uint64_t, std::less<>>;
+
+  void increment(std::string_view name, std::uint64_t by = 1) {
+    auto it = counters_.find(name);
+    if (it == counters_.end()) {
+      counters_.emplace(std::string(name), by);
+    } else {
+      it->second += by;
+    }
   }
 
-  [[nodiscard]] std::uint64_t get(const std::string& name) const {
+  [[nodiscard]] std::uint64_t get(std::string_view name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
 
-  [[nodiscard]] const std::map<std::string, std::uint64_t>& all() const {
-    return counters_;
-  }
+  [[nodiscard]] const Map& all() const { return counters_; }
 
   void reset() { counters_.clear(); }
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
+  Map counters_;
 };
 
 // Per-key tally, e.g. proxies hosted per Mss for the load-balance study.

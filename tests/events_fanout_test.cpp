@@ -1,19 +1,24 @@
-// ObserverList fan-out exhaustiveness.
+// ObserverList fan-out exhaustiveness and the EventRecord conversions.
 //
 // Fires every RdpObserver hook exactly once through an ObserverList with
 // two recording observers and checks (a) each observer saw each hook once,
-// and (b) the number of distinct hooks equals RdpObserver::kHookCount.
-// Adding a hook without bumping the constant, without the fan-out override,
-// or without extending this driver fails here.
+// and (b) the number of distinct hooks equals RdpObserver::kHookCount; then
+// checks that every hook survives hook -> EventRecorder -> replay() with
+// all of its arguments.  Adding a hook without bumping the constant,
+// without the fan-out override, without its record conversions, or without
+// extending the driver (tests/hook_driver.h) fails here.
 #include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/events.h"
+#include "core/event_record.h"
 #include "obs/event_names.h"
+#include "tests/hook_driver.h"
 
 namespace rdp::core {
 namespace {
@@ -26,142 +31,147 @@ using common::ProxyId;
 using common::RequestId;
 using common::SimTime;
 
-class RecordingObserver final : public RdpObserver {
+// Counts each hook by name, through the one-method record interface.
+class RecordingObserver final : public EventRecorder {
  public:
+  explicit RecordingObserver(std::uint32_t mask = kAllHooks) : mask_(mask) {}
+
   std::map<std::string, int> calls;
 
-  void on_proxy_created(SimTime, MhId, NodeAddress, ProxyId) override {
-    ++calls["proxy_created"];
+  [[nodiscard]] std::uint32_t hook_mask() const override { return mask_; }
+  void on_event(const EventRecord& record) override {
+    ++calls[obs::hook_name(static_cast<std::size_t>(record.kind))];
   }
-  void on_proxy_deleted(SimTime, MhId, NodeAddress, ProxyId, bool) override {
-    ++calls["proxy_deleted"];
+
+ private:
+  std::uint32_t mask_;
+};
+
+// Writes every hook call as "<hook name>(<every argument>)", typed by the
+// hook signature itself rather than by EventRecord, so comparing two
+// captures tells whether a record carried every field of its hook.
+class ArgumentLog final : public RdpObserver {
+ public:
+  std::vector<std::string> lines;
+
+  using U32 = std::uint32_t;
+  using Size = std::size_t;
+  void on_proxy_created(SimTime t, MhId m, NodeAddress h, ProxyId p) override {
+    add("proxy_created", t, m, h, p);
   }
-  void on_request_issued(SimTime, MhId, RequestId, NodeAddress) override {
-    ++calls["request_issued"];
+  void on_proxy_deleted(SimTime t, MhId m, NodeAddress h, ProxyId p,
+                        bool gc) override {
+    add("proxy_deleted", t, m, h, p, gc);
   }
-  void on_request_reached_proxy(SimTime, MhId, RequestId,
-                                NodeAddress) override {
-    ++calls["request_reached_proxy"];
+  void on_request_issued(SimTime t, MhId m, RequestId r,
+                         NodeAddress s) override {
+    add("request_issued", t, m, r, s);
   }
-  void on_result_at_proxy(SimTime, MhId, RequestId, std::uint32_t) override {
-    ++calls["result_at_proxy"];
+  void on_request_reached_proxy(SimTime t, MhId m, RequestId r,
+                                NodeAddress h) override {
+    add("request_reached_proxy", t, m, r, h);
   }
-  void on_result_forwarded(SimTime, MhId, RequestId, std::uint32_t,
-                           NodeAddress, std::uint32_t, bool) override {
-    ++calls["result_forwarded"];
+  void on_result_at_proxy(SimTime t, MhId m, RequestId r, U32 seq) override {
+    add("result_at_proxy", t, m, r, seq);
   }
-  void on_result_delivered(SimTime, MhId, RequestId, std::uint32_t, bool,
-                           bool, std::uint32_t) override {
-    ++calls["result_delivered"];
+  void on_result_forwarded(SimTime t, MhId m, RequestId r, U32 seq,
+                           NodeAddress to, U32 n, bool pref) override {
+    add("result_forwarded", t, m, r, seq, to, n, pref);
   }
-  void on_ack_forwarded(SimTime, MhId, RequestId, std::uint32_t,
-                        bool) override {
-    ++calls["ack_forwarded"];
+  void on_result_delivered(SimTime t, MhId m, RequestId r, U32 seq, bool fin,
+                           bool dup, U32 n) override {
+    add("result_delivered", t, m, r, seq, fin, dup, n);
   }
-  void on_request_completed(SimTime, MhId, RequestId) override {
-    ++calls["request_completed"];
+  void on_ack_forwarded(SimTime t, MhId m, RequestId r, U32 seq,
+                        bool del) override {
+    add("ack_forwarded", t, m, r, seq, del);
   }
-  void on_request_lost(SimTime, MhId, RequestId, RequestLossReason) override {
-    ++calls["request_lost"];
+  void on_request_completed(SimTime t, MhId m, RequestId r) override {
+    add("request_completed", t, m, r);
   }
-  void on_handoff_started(SimTime, MhId, MssId, MssId) override {
-    ++calls["handoff_started"];
+  void on_reissue_exhausted(SimTime t, MhId m, RequestId r, int n) override {
+    add("reissue_exhausted", t, m, r, n);
   }
-  void on_handoff_completed(SimTime, MhId, MssId, MssId, Duration,
-                            std::size_t) override {
-    ++calls["handoff_completed"];
+  void on_request_lost(SimTime t, MhId m, RequestId r,
+                       RequestLossReason why) override {
+    add("request_lost", t, m, r, obs::loss_reason_name(why));
   }
-  void on_update_currentloc(SimTime, MhId, NodeAddress, NodeAddress) override {
-    ++calls["update_currentloc"];
+  void on_arq_frame_sent(SimTime t, MhId m, U32 epoch, U32 seq, U32 n,
+                         Size in_flight, Size window) override {
+    add("arq_frame_sent", t, m, epoch, seq, n, in_flight, window);
   }
-  void on_mh_registered(SimTime, MhId, MssId, Duration) override {
-    ++calls["mh_registered"];
+  void on_arq_delivered(SimTime t, MhId m, U32 epoch, U32 seq,
+                        bool dup) override {
+    add("arq_delivered", t, m, epoch, seq, dup);
   }
-  void on_stale_ack_dropped(SimTime, MhId, RequestId) override {
-    ++calls["stale_ack_dropped"];
+  void on_handoff_started(SimTime t, MhId m, MssId from, MssId to) override {
+    add("handoff_started", t, m, from, to);
   }
-  void on_delproxy_with_pending(SimTime, MhId, ProxyId) override {
-    ++calls["delproxy_with_pending"];
+  void on_handoff_completed(SimTime t, MhId m, MssId from, MssId to,
+                            Duration d, Size bytes) override {
+    add("handoff_completed", t, m, from, to, d.count_micros(), bytes);
   }
-  void on_orphaned_proxy(SimTime, MhId, ProxyId) override {
-    ++calls["orphaned_proxy"];
+  void on_update_currentloc(SimTime t, MhId m, NodeAddress h,
+                            NodeAddress loc) override {
+    add("update_currentloc", t, m, h, loc);
   }
-  void on_mss_crashed(SimTime, MssId, std::size_t, std::size_t) override {
-    ++calls["mss_crashed"];
+  void on_mh_registered(SimTime t, MhId m, MssId s, Duration d) override {
+    add("mh_registered", t, m, s, d.count_micros());
   }
-  void on_mss_restarted(SimTime, MssId, std::size_t) override {
-    ++calls["mss_restarted"];
+  void on_stale_ack_dropped(SimTime t, MhId m, RequestId r) override {
+    add("stale_ack_dropped", t, m, r);
   }
-  void on_proxy_restored(SimTime, MhId, NodeAddress, ProxyId) override {
-    ++calls["proxy_restored"];
+  void on_delproxy_with_pending(SimTime t, MhId m, ProxyId p) override {
+    add("delproxy_with_pending", t, m, p);
   }
-  void on_request_reissued(SimTime, MhId, RequestId, int) override {
-    ++calls["request_reissued"];
+  void on_orphaned_proxy(SimTime t, MhId m, ProxyId p) override {
+    add("orphaned_proxy", t, m, p);
   }
-  void on_backup_promoted(SimTime, MssId, MssId, std::size_t) override {
-    ++calls["backup_promoted"];
+  void on_mss_crashed(SimTime t, MssId s, Size proxies, Size mhs) override {
+    add("mss_crashed", t, s, proxies, mhs);
   }
-  void on_reissue_exhausted(SimTime, MhId, RequestId, int) override {
-    ++calls["reissue_exhausted"];
+  void on_mss_restarted(SimTime t, MssId s, Size restored) override {
+    add("mss_restarted", t, s, restored);
   }
-  void on_arq_frame_sent(SimTime, MhId, std::uint32_t, std::uint32_t,
-                         std::uint32_t, std::size_t, std::size_t) override {
-    ++calls["arq_frame_sent"];
+  void on_proxy_restored(SimTime t, MhId m, NodeAddress h,
+                         ProxyId p) override {
+    add("proxy_restored", t, m, h, p);
   }
-  void on_arq_delivered(SimTime, MhId, std::uint32_t, std::uint32_t,
-                        bool) override {
-    ++calls["arq_delivered"];
+  void on_request_reissued(SimTime t, MhId m, RequestId r, int n) override {
+    add("request_reissued", t, m, r, n);
   }
-  void on_mss_departed(SimTime, MssId, std::uint64_t) override {
-    ++calls["mss_departed"];
+  void on_backup_promoted(SimTime t, MssId from, MssId to, Size n) override {
+    add("backup_promoted", t, from, to, n);
   }
-  void on_mss_rejoined(SimTime, MssId, std::uint64_t) override {
-    ++calls["mss_rejoined"];
+  void on_mss_departed(SimTime t, MssId s, std::uint64_t epoch) override {
+    add("mss_departed", t, s, epoch);
   }
-  void on_primary_demoted(SimTime, MssId, std::size_t) override {
-    ++calls["primary_demoted"];
+  void on_mss_rejoined(SimTime t, MssId s, std::uint64_t epoch) override {
+    add("mss_rejoined", t, s, epoch);
+  }
+  void on_primary_demoted(SimTime t, MssId s, Size dropped) override {
+    add("primary_demoted", t, s, dropped);
+  }
+
+ private:
+  template <typename... Args>
+  void add(const char* hook, SimTime t, const Args&... args) {
+    std::ostringstream os;
+    os << hook << "(" << t.count_micros();
+    ((os << ", " << args), ...);
+    os << ")";
+    lines.push_back(os.str());
   }
 };
 
-// Invokes every hook on `target` exactly once.  Keep in sync with
-// RdpObserver: a new hook must be added here AND to RecordingObserver.
-void fire_every_hook(RdpObserver& target) {
-  const SimTime t = SimTime::from_micros(1000);
-  const MhId mh(0);
-  const MssId mss_a(0), mss_b(1);
-  const NodeAddress node_a(0), node_b(1);
-  const ProxyId proxy(0);
-  const RequestId request(mh, 1);
-
-  target.on_proxy_created(t, mh, node_a, proxy);
-  target.on_proxy_deleted(t, mh, node_a, proxy, false);
-  target.on_request_issued(t, mh, request, node_b);
-  target.on_request_reached_proxy(t, mh, request, node_a);
-  target.on_result_at_proxy(t, mh, request, 1);
-  target.on_result_forwarded(t, mh, request, 1, node_a, 1, false);
-  target.on_result_delivered(t, mh, request, 1, true, false, 1);
-  target.on_ack_forwarded(t, mh, request, 1, true);
-  target.on_request_completed(t, mh, request);
-  target.on_request_lost(t, mh, request, RequestLossReason::kProxyGone);
-  target.on_handoff_started(t, mh, mss_a, mss_b);
-  target.on_handoff_completed(t, mh, mss_a, mss_b, Duration::millis(1), 44);
-  target.on_update_currentloc(t, mh, node_a, node_b);
-  target.on_mh_registered(t, mh, mss_b, Duration::millis(2));
-  target.on_stale_ack_dropped(t, mh, request);
-  target.on_delproxy_with_pending(t, mh, proxy);
-  target.on_orphaned_proxy(t, mh, proxy);
-  target.on_mss_crashed(t, mss_a, 1, 1);
-  target.on_mss_restarted(t, mss_a, 1);
-  target.on_proxy_restored(t, mh, node_a, proxy);
-  target.on_request_reissued(t, mh, request, 2);
-  target.on_backup_promoted(t, mss_a, mss_b, 1);
-  target.on_reissue_exhausted(t, mh, request, 3);
-  target.on_arq_frame_sent(t, mh, 1, 0, 1, 1, 4);
-  target.on_arq_delivered(t, mh, 1, 0, false);
-  target.on_mss_departed(t, mss_a, 1);
-  target.on_mss_rejoined(t, mss_a, 2);
-  target.on_primary_demoted(t, mss_a, 1);
-}
+// Collects the records an EventRecorder makes.
+class RecordCollector final : public EventRecorder {
+ public:
+  std::vector<EventRecord> records;
+  void on_event(const EventRecord& record) override {
+    records.push_back(record);
+  }
+};
 
 // The recorder itself covers the whole interface: the driver above reaches
 // kHookCount distinct hooks.  (This pins the constant to reality — if a
@@ -169,7 +179,7 @@ void fire_every_hook(RdpObserver& target) {
 // the driver and recorder learn the new hook.)
 TEST(ObserverFanout, DriverCoversEveryHook) {
   RecordingObserver recorder;
-  fire_every_hook(recorder);
+  testutil::fire_every_hook(recorder);
   EXPECT_EQ(recorder.calls.size(),
             static_cast<std::size_t>(RdpObserver::kHookCount));
   for (const auto& [hook, count] : recorder.calls) {
@@ -185,7 +195,7 @@ TEST(ObserverFanout, ListForwardsEveryHookToAllObservers) {
   list.add(&second);
   EXPECT_EQ(list.size(), 2u);
 
-  fire_every_hook(list);
+  testutil::fire_every_hook(list);
 
   for (const RecordingObserver* observer : {&first, &second}) {
     EXPECT_EQ(observer->calls.size(),
@@ -202,7 +212,7 @@ TEST(ObserverFanout, ListForwardsEveryHookToAllObservers) {
 // the rename/reorder drift the count alone cannot.
 TEST(ObserverFanout, HookNameTableMatchesHooks) {
   RecordingObserver recorder;
-  fire_every_hook(recorder);
+  testutil::fire_every_hook(recorder);
 
   std::set<std::string> named(std::begin(obs::kHookNames),
                               std::end(obs::kHookNames));
@@ -216,11 +226,54 @@ TEST(ObserverFanout, HookNameTableMatchesHooks) {
   EXPECT_STREQ(obs::hook_name(std::size(obs::kHookNames)), "?");
 }
 
+// hook -> EventRecorder -> replay() gives back the same call: every
+// argument of every hook survives the record, in both driver variants
+// (distinct values everywhere; every flag seen both ways).  The record's
+// kind also names the hook it came from.
+TEST(ObserverFanout, RecordReplayRoundTripsEveryArgument) {
+  for (int variant = 0; variant < 2; ++variant) {
+    ArgumentLog fired;
+    testutil::fire_every_hook(fired, variant);
+
+    RecordCollector collector;
+    testutil::fire_every_hook(collector, variant);
+    ASSERT_EQ(collector.records.size(),
+              static_cast<std::size_t>(RdpObserver::kHookCount));
+
+    ArgumentLog replayed;
+    for (const EventRecord& record : collector.records) {
+      replay(record, replayed);
+    }
+    ASSERT_EQ(replayed.lines.size(), fired.lines.size());
+    for (std::size_t i = 0; i < fired.lines.size(); ++i) {
+      EXPECT_EQ(replayed.lines[i], fired.lines[i]) << "variant " << variant;
+      const std::string name =
+          obs::hook_name(static_cast<std::size_t>(collector.records[i].kind));
+      EXPECT_EQ(fired.lines[i].substr(0, fired.lines[i].find('(')), name);
+    }
+  }
+}
+
+// ObserverList routes each hook to exactly the observers whose mask has
+// that hook's bit: pins the list's per-hook indices to core::Hook.
+TEST(ObserverFanout, ListRoutesEachHookByItsMaskBit) {
+  for (int h = 0; h < RdpObserver::kHookCount; ++h) {
+    ObserverList list;
+    RecordingObserver only(1u << h);
+    list.add(&only);
+    testutil::fire_every_hook(list);
+    ASSERT_EQ(only.calls.size(), 1u) << "hook " << h;
+    EXPECT_EQ(only.calls.begin()->first,
+              obs::hook_name(static_cast<std::size_t>(h)));
+    EXPECT_EQ(only.calls.begin()->second, 1);
+  }
+}
+
 // An empty list is a valid no-op sink.
 TEST(ObserverFanout, EmptyListIsSafe) {
   ObserverList list;
   EXPECT_EQ(list.size(), 0u);
-  fire_every_hook(list);  // must not crash
+  testutil::fire_every_hook(list);  // must not crash
 }
 
 }  // namespace

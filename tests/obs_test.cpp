@@ -20,6 +20,7 @@
 #include "obs/profiler.h"
 #include "obs/span_tracer.h"
 #include "obs/telemetry.h"
+#include "tests/hook_driver.h"
 #include "tests/trace_util.h"
 
 namespace rdp::obs {
@@ -180,6 +181,135 @@ TEST(FlightRecorder, DumpOnLossFiresOnce) {
   recorder.on_request_lost(at_ms(3), MhId(0), request,
                            core::RequestLossReason::kMssCrashed);
   EXPECT_EQ(sink.str().size(), size_after_first);  // one dump per recorder
+}
+
+// The scripted Fig-3 run (one request, two migrations; tests/rdp_fig3_test)
+// dumps exactly this text.  Pinned from the recorder as it was when it kept
+// one formatted string per event, so formatting on dump changes nothing.
+TEST(FlightRecorder, GoldenFig3Dump) {
+  harness::ScenarioConfig config = testutil::deterministic_config(3, 1, 1);
+  config.server.base_service_time = Duration::seconds(2);
+  harness::World world(config);
+  auto& mh = world.mh(0);
+  auto& sim = world.simulator();
+  mh.power_on(world.cell(0));
+  sim.schedule(Duration::millis(100),
+               [&] { mh.issue_request(world.server_address(0), "query"); });
+  sim.schedule(Duration::millis(300),
+               [&] { mh.migrate(world.cell(1), Duration::millis(50)); });
+  sim.schedule(Duration::millis(800),
+               [&] { mh.migrate(world.cell(2), Duration::millis(50)); });
+  world.run_to_quiescence();
+
+  std::ostringstream os;
+  world.telemetry().flight_recorder()->dump(os);
+  EXPECT_EQ(os.str(), R"(-- flight recorder: last 18 of 18 events --
+      40.000 ms  mh_registered Mh0 at Mss0 (40.000ms)
+     100.000 ms  request_issued Req(Mh0#1) by Mh0 to Node3
+     120.000 ms  proxy_created Proxy0 for Mh0 at Node0
+     120.000 ms  request_reached_proxy Req(Mh0#1) at Node0
+     370.000 ms  handoff_started Mh0 Mss0->Mss1
+     380.000 ms  handoff_completed Mh0 Mss0->Mss1 (10.000ms, 44 B)
+     380.000 ms  update_currentLoc Mh0 proxy@Node0 -> Node1
+     400.000 ms  mh_registered Mh0 at Mss1 (50.000ms)
+     870.000 ms  handoff_started Mh0 Mss1->Mss2
+     880.000 ms  handoff_completed Mh0 Mss1->Mss2 (10.000ms, 44 B)
+     880.000 ms  update_currentLoc Mh0 proxy@Node0 -> Node2
+     900.000 ms  mh_registered Mh0 at Mss2 (50.000ms)
+    2130.000 ms  result_at_proxy Req(Mh0#1) seq=1
+    2130.000 ms  result_forwarded Req(Mh0#1) seq=1 attempt=1 to=Node2 [del-pref]
+    2155.000 ms  result_delivered Req(Mh0#1) seq=1 at Mh0 attempt=1 [final]
+    2175.000 ms  ack_forwarded Req(Mh0#1) seq=1 [del-proxy]
+    2180.000 ms  request_completed Req(Mh0#1)
+    2180.000 ms  proxy_deleted Proxy0 for Mh0 at Node0
+)");
+}
+
+// One line per recorded hook kind, every field distinct (tests/hook_driver.h);
+// the recorder's mask leaves out the two ARQ frame hooks.  The first 22 lines of each variant
+// are the per-event strings of the earlier recorder; the last four (backup
+// promotion and membership) are the kinds it did not record.
+TEST(FlightRecorder, GoldenLinePerHook) {
+  const char* expected[] = {R"(-- flight recorder: last 26 of 26 events --
+       1.007 ms  proxy_created Proxy12 for Mh10 at Node11
+       2.007 ms  proxy_deleted Proxy15 for Mh13 at Node14 [gc]
+       3.007 ms  request_issued Req(Mh17#18) by Mh16 to Node19
+       4.007 ms  request_reached_proxy Req(Mh21#22) at Node23
+       5.007 ms  result_at_proxy Req(Mh25#26) seq=27
+       6.007 ms  result_forwarded Req(Mh29#30) seq=31 attempt=33 to=Node32 [del-pref]
+       7.007 ms  result_delivered Req(Mh35#36) seq=37 at Mh34 attempt=38 [final]
+       8.007 ms  ack_forwarded Req(Mh40#41) seq=42 [del-proxy]
+       9.007 ms  request_completed Req(Mh44#45)
+      10.007 ms  REISSUE_EXHAUSTED Req(Mh47#48) by Mh46 after 49 re-issues
+      11.007 ms  REQUEST_LOST Req(Mh51#52) of Mh50 reason=mss-crashed
+      14.007 ms  handoff_started Mh62 Mss63->Mss64
+      15.007 ms  handoff_completed Mh65 Mss66->Mss67 (1.680ms, 69 B)
+      16.007 ms  update_currentLoc Mh70 proxy@Node71 -> Node72
+      17.007 ms  mh_registered Mh73 at Mss74 (2.750ms)
+      18.007 ms  stale_ack_dropped Req(Mh77#78) from Mh76
+      19.007 ms  ANOMALY delproxy_with_pending Proxy80 of Mh79
+      20.007 ms  orphaned_proxy Proxy82 of Mh81
+      21.007 ms  MSS_CRASHED Mss83 (84 proxies lost, 85 Mhs detached)
+      22.007 ms  mss_restarted Mss86 (87 proxies restored)
+      23.007 ms  proxy_restored Proxy90 for Mh88 at Node89
+      24.007 ms  request_reissued Req(Mh92#93) by Mh91 attempt=94
+      25.007 ms  BACKUP_PROMOTED Mss95->Mss96 (97 proxies adopted)
+      26.007 ms  mss_departed Mss98 epoch=4294967395
+      27.007 ms  mss_rejoined Mss100 epoch=4294967397
+      28.007 ms  PRIMARY_DEMOTED Mss102 (103 proxies dropped)
+)", R"(-- flight recorder: last 26 of 26 events --
+    1001.007 ms  proxy_created Proxy1012 for Mh1010 at Node1011
+    1002.007 ms  proxy_deleted Proxy1015 for Mh1013 at Node1014
+    1003.007 ms  request_issued Req(Mh1017#1018) by Mh1016 to Node1019
+    1004.007 ms  request_reached_proxy Req(Mh1021#1022) at Node1023
+    1005.007 ms  result_at_proxy Req(Mh1025#1026) seq=1027
+    1006.007 ms  result_forwarded Req(Mh1029#1030) seq=1031 attempt=1033 to=Node1032
+    1007.007 ms  result_delivered Req(Mh1035#1036) seq=1037 at Mh1034 attempt=1038 [dup]
+    1008.007 ms  ack_forwarded Req(Mh1040#1041) seq=1042
+    1009.007 ms  request_completed Req(Mh1044#1045)
+    1010.007 ms  REISSUE_EXHAUSTED Req(Mh1047#1048) by Mh1046 after 1049 re-issues
+    1011.007 ms  REQUEST_LOST Req(Mh1051#1052) of Mh1050 reason=reissue-exhausted
+    1014.007 ms  handoff_started Mh1062 Mss1063->Mss1064
+    1015.007 ms  handoff_completed Mh1065 Mss1066->Mss1067 (2.680ms, 1069 B)
+    1016.007 ms  update_currentLoc Mh1070 proxy@Node1071 -> Node1072
+    1017.007 ms  mh_registered Mh1073 at Mss1074 (3.750ms)
+    1018.007 ms  stale_ack_dropped Req(Mh1077#1078) from Mh1076
+    1019.007 ms  ANOMALY delproxy_with_pending Proxy1080 of Mh1079
+    1020.007 ms  orphaned_proxy Proxy1082 of Mh1081
+    1021.007 ms  MSS_CRASHED Mss1083 (1084 proxies lost, 1085 Mhs detached)
+    1022.007 ms  mss_restarted Mss1086 (1087 proxies restored)
+    1023.007 ms  proxy_restored Proxy1090 for Mh1088 at Node1089
+    1024.007 ms  request_reissued Req(Mh1092#1093) by Mh1091 attempt=1094
+    1025.007 ms  BACKUP_PROMOTED Mss1095->Mss1096 (1097 proxies adopted)
+    1026.007 ms  mss_departed Mss1098 epoch=4294968395
+    1027.007 ms  mss_rejoined Mss1100 epoch=4294968397
+    1028.007 ms  PRIMARY_DEMOTED Mss1102 (1103 proxies dropped)
+)"};
+  for (int variant = 0; variant < 2; ++variant) {
+    FlightRecorder recorder(64);
+    core::ObserverList list;  // applies the recorder's hook_mask()
+    list.add(&recorder);
+    testutil::fire_every_hook(list, variant);
+    std::ostringstream os;
+    recorder.dump(os);
+    EXPECT_EQ(os.str(), expected[variant]) << "variant " << variant;
+  }
+}
+
+// Free-text notes and typed events share one ring, oldest first.
+TEST(FlightRecorder, NotesAndEventsInterleave) {
+  FlightRecorder recorder(3);
+  recorder.record(at_ms(1), "note one");
+  recorder.on_request_completed(at_ms(2), MhId(4), RequestId(MhId(4), 5));
+  recorder.record(at_ms(3), "note two");
+  recorder.on_orphaned_proxy(at_ms(4), MhId(6), ProxyId(7));
+  std::ostringstream os;
+  recorder.dump(os);
+  EXPECT_EQ(os.str(),
+            "-- flight recorder: last 3 of 4 events --\n"
+            "       2.000 ms  request_completed Req(Mh4#5)\n"
+            "       3.000 ms  note two\n"
+            "       4.000 ms  orphaned_proxy Proxy7 of Mh6\n");
 }
 
 TEST(EventNames, LossReasonsAreNamed) {
